@@ -11,12 +11,12 @@ use rough_baselines::RoughnessLossModel;
 use rough_bench::{write_csv, Fidelity, FrequencySweep, SscmSweepConfig};
 use rough_em::material::{Conductor, Stackup};
 use rough_em::units::Micrometers;
-use rough_engine::Engine;
+use rough_engine::{Run, RunConfig};
 use rough_surface::correlation::CorrelationFunction;
 
 fn main() {
-    // Worker mode for ROUGHSIM_EXECUTOR=subprocess runs (no-op otherwise).
-    rough_engine::subprocess::maybe_serve_worker();
+    // Worker mode for ROUGHSIM_EXECUTOR=socket runs (no-op otherwise).
+    rough_engine::maybe_serve_worker();
     let fidelity = Fidelity::from_args();
     let sweep = FrequencySweep::linear_ghz(1.0, 9.0, fidelity.sweep_points());
     let stack = Stackup::paper_baseline();
@@ -36,8 +36,9 @@ fn main() {
         .collect();
     let scenario = config.scenario(stack, correlations.clone(), sweep.points().iter().copied());
 
-    let engine = Engine::new();
-    let report = engine.run(&scenario).expect("Fig. 3 campaign");
+    let report = Run::new(&scenario, RunConfig::new())
+        .and_then(Run::execute)
+        .expect("Fig. 3 campaign");
 
     println!(
         "Fig. 3 — SWM vs SPM2 vs empirical, Gaussian CF, sigma = 1 um ({fidelity:?}, {} solves in {:.1} s on {} threads)",

@@ -8,12 +8,12 @@ use rough_baselines::spm2::Spm2Model;
 use rough_baselines::RoughnessLossModel;
 use rough_bench::{write_csv, Fidelity, FrequencySweep, SscmSweepConfig};
 use rough_em::material::{Conductor, Stackup};
-use rough_engine::Engine;
+use rough_engine::{Run, RunConfig};
 use rough_surface::correlation::CorrelationFunction;
 
 fn main() {
-    // Worker mode for ROUGHSIM_EXECUTOR=subprocess runs (no-op otherwise).
-    rough_engine::subprocess::maybe_serve_worker();
+    // Worker mode for ROUGHSIM_EXECUTOR=socket runs (no-op otherwise).
+    rough_engine::maybe_serve_worker();
     let fidelity = Fidelity::from_args();
     let sweep = FrequencySweep::linear_ghz(0.5, 10.0, fidelity.sweep_points());
     let stack = Stackup::paper_baseline();
@@ -27,8 +27,9 @@ fn main() {
     };
     let scenario = config.scenario(stack, [cf], sweep.points().iter().copied());
 
-    let engine = Engine::new();
-    let report = engine.run(&scenario).expect("Fig. 4 campaign");
+    let report = Run::new(&scenario, RunConfig::new())
+        .and_then(Run::execute)
+        .expect("Fig. 4 campaign");
 
     println!(
         "Fig. 4 — SWM vs SPM2, extracted CF (sigma=1um, eta1=1.4um, eta2=0.53um) ({fidelity:?}, {} solves in {:.1} s)",

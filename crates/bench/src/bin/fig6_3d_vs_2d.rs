@@ -11,11 +11,11 @@ use rough_core::swm2d::Swm2dProblem;
 use rough_core::{RoughnessSpec, SwmProblem};
 use rough_em::material::Stackup;
 use rough_em::units::Micrometers;
-use rough_engine::{Engine, Scenario};
+use rough_engine::{Run, RunConfig, Scenario};
 
 fn main() {
-    // Worker mode for ROUGHSIM_EXECUTOR=subprocess runs (no-op otherwise).
-    rough_engine::subprocess::maybe_serve_worker();
+    // Worker mode for ROUGHSIM_EXECUTOR=socket runs (no-op otherwise).
+    rough_engine::maybe_serve_worker();
     let fidelity = Fidelity::from_args();
     let sweep = FrequencySweep::linear_ghz(1.0, 9.0, fidelity.sweep_points());
     let stack = Stackup::paper_baseline();
@@ -37,8 +37,9 @@ fn main() {
         .master_seed(1)
         .build()
         .expect("valid Fig. 6 scenario");
-    let engine = Engine::new();
-    let report = engine.run(&scenario).expect("Fig. 6 3D campaign");
+    let report = Run::new(&scenario, RunConfig::new())
+        .and_then(Run::execute)
+        .expect("Fig. 6 3D campaign");
 
     println!(
         "Fig. 6 — 3D SWM vs 2D SWM, Gaussian CF, sigma = 1 um ({fidelity:?}, {} 3D solves in {:.1} s)",

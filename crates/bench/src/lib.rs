@@ -3,9 +3,8 @@
 //! Experiment harness reproducing every table and figure of Chen & Wong
 //! (DATE 2009). Each `src/bin/*` binary regenerates one experiment and prints
 //! the same series/rows the paper reports (aligned table on stdout plus a CSV
-//! file under `results/`); the Criterion benches under `benches/` measure the
-//! performance claims (Ewald cost, assembly scaling, 2N-vs-6N solve cost,
-//! sparse-grid vs Monte-Carlo sampling).
+//! file under `results/`); the `bench_*` binaries measure the performance
+//! claims and write the committed `BENCH_*.json` snapshots.
 //!
 //! Every binary accepts `--full` to run at the paper's fidelity (η/8 grid,
 //! 2nd-order SSCM, 5000-sample Monte-Carlo). The default is a reduced *fast*
@@ -51,9 +50,10 @@ pub fn full_fidelity_requested() -> bool {
 
 /// Selects a [`rough_engine::UnitExecutor`] from the `ROUGHSIM_EXECUTOR`
 /// environment variable, so every figure driver can switch between
-/// in-process, multi-process and socket execution without code changes.
-/// Thin wrapper over [`rough_engine::executor_from_env`] — see it for the
-/// accepted values (`serial`, `threads[:N]`, `subprocess[:N]`, `socket[:N]`).
+/// in-process and socket execution without code changes. Thin wrapper over
+/// [`rough_engine::executor_from_env`] on the whole machine's core budget —
+/// see [`rough_engine::parse_executor_spec`] for the accepted values
+/// (`serial`, `threads[:N]`, `socket[:N]`).
 ///
 /// Each executor additionally gives every solve its fair share of the core
 /// budget as *intra-solve assembly threads* (`units × threads ≤ cores`); the
@@ -65,7 +65,8 @@ pub fn full_fidelity_requested() -> bool {
 /// Panics on an unrecognized value — drivers treat a bad configuration as
 /// fatal.
 pub fn executor_from_env() -> std::sync::Arc<dyn rough_engine::UnitExecutor> {
-    rough_engine::executor_from_env().unwrap_or_else(|e| panic!("ROUGHSIM_EXECUTOR: {e}"))
+    rough_engine::executor_from_env(rough_engine::core_budget())
+        .unwrap_or_else(|e| panic!("ROUGHSIM_EXECUTOR: {e}"))
 }
 
 /// A [`rough_engine::RunObserver`] that prints unit/case progress to stderr —

@@ -5,7 +5,7 @@
 
 use rough_em::material::Stackup;
 use rough_em::units::Frequency;
-use rough_engine::{CaseOutcome, Engine, Scenario};
+use rough_engine::{CaseOutcome, Run, RunConfig, Scenario};
 use rough_stochastic::collocation::SscmResult;
 use rough_surface::correlation::CorrelationFunction;
 
@@ -76,22 +76,25 @@ pub struct SweepOutcome {
 }
 
 /// Computes the SSCM mean of the loss-enhancement factor for a stochastic
-/// surface at one frequency, on a caller-supplied engine (so repeated calls
-/// share the engine's kernel cache).
+/// surface at one frequency.
+///
+/// Prefer a whole-sweep [`SscmSweepConfig::scenario`] when evaluating several
+/// points: one campaign shares its kernel cache across every point.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is invalid or a linear solve fails —
 /// experiment drivers treat both as fatal.
-pub fn sscm_mean_enhancement_on(
-    engine: &Engine,
+pub fn sscm_mean_enhancement(
     stack: Stackup,
     cf: CorrelationFunction,
     frequency: Frequency,
     config: &SscmSweepConfig,
 ) -> SweepOutcome {
     let scenario = config.scenario(stack, [cf], [frequency]);
-    let report = engine.run(&scenario).expect("SSCM campaign");
+    let report = Run::new(&scenario, RunConfig::new())
+        .and_then(Run::execute)
+        .expect("SSCM campaign");
     let case = &report.cases[0];
     let sscm = match &case.outcome {
         CaseOutcome::Sscm(sscm) => sscm.clone(),
@@ -104,25 +107,6 @@ pub fn sscm_mean_enhancement_on(
         kl_modes: case.kl_modes,
         sscm,
     }
-}
-
-/// Computes the SSCM mean of the loss-enhancement factor for a stochastic
-/// surface at one frequency.
-///
-/// Prefer [`sscm_mean_enhancement_on`] (or a whole-sweep
-/// [`SscmSweepConfig::scenario`]) when evaluating several points: it reuses
-/// the engine's kernel cache across calls.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or a linear solve fails.
-pub fn sscm_mean_enhancement(
-    stack: Stackup,
-    cf: CorrelationFunction,
-    frequency: Frequency,
-    config: &SscmSweepConfig,
-) -> SweepOutcome {
-    sscm_mean_enhancement_on(&Engine::new(), stack, cf, frequency, config)
 }
 
 #[cfg(test)]

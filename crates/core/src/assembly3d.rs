@@ -20,26 +20,22 @@
 //! surface); the paper absorbs them differently but the flat-patch validation
 //! in `swm3d.rs` pins the convention against the analytic Fresnel solution.
 //!
-//! How the singular (self) and near-singular (neighbour) entries are
-//! integrated is selected by [`AssemblyScheme`]:
-//!
-//! * **Legacy** — the seed behaviour: the static self singularity on a
-//!   metric-stretched rectangle, a fixed 3 × 3 Gauss rule on near neighbours,
-//!   midpoint sampling elsewhere.
-//! * **Locally corrected** — the `1/(4πR)` static part is integrated
-//!   *analytically* over the exact tangent-plane cell parallelogram (Wilton
-//!   polygon potential for `S`, signed solid angle for `D`), and the smooth
-//!   remainder `G_p − 1/(4πR)` is integrated with adaptive tensor
-//!   Gauss–Legendre quadrature, for every source cell within
-//!   [`NearFieldPolicy::radius`] cell sizes (minimum-image distance, so the
-//!   periodic seam is corrected too).
+//! The singular (self) and near-singular (neighbour) entries are locally
+//! corrected ([`AssemblyScheme`]): the `1/(4πR)` static part is integrated
+//! *analytically* over the exact tangent-plane cell parallelogram (Wilton
+//! polygon potential for `S`, signed solid angle for `D`), and the smooth
+//! remainder `G_p − 1/(4πR)` is integrated with adaptive tensor
+//! Gauss–Legendre quadrature, for every source cell within
+//! [`NearFieldPolicy::radius`] cell sizes (minimum-image distance, so the
+//! periodic seam is corrected too). Every other entry is one midpoint sample
+//! of the kernel.
 //!
 //! Orthogonal to the scheme, [`KernelEval`] selects how the Ewald-summed
 //! kernel itself is evaluated. The default, [`KernelEval::Batched`], is
 //! **blocked row-panel assembly**: for each observation row, every far-field
-//! observation–source separation (and, in the corrected scheme, every
-//! fixed-rule periodic-image quadrature point of the row's near entries) is
-//! gathered into a contiguous slice, evaluated in one batched kernel call
+//! observation–source separation (and every fixed-rule periodic-image
+//! quadrature point of the row's near entries) is gathered into a contiguous
+//! slice, evaluated in one batched kernel call
 //! ([`PeriodicGreen3d::eval_batch_samples`] /
 //! [`PeriodicGreen3d::eval_batch_regularized`]), and scattered into the
 //! matrix. The near-field analytic statics and the adaptive smooth-remainder
@@ -52,14 +48,14 @@
 //! and combines only its own kernel samples), computed with per-worker scratch
 //! through [`crate::parallel::map_rows`] and scattered serially in row order —
 //! so a parallel assembly is **bit-identical** to the serial one at any
-//! thread count (pinned by tests at 1/2/4/8 threads for both schemes).
+//! thread count (pinned by tests at 1/2/4/8 threads).
 
 use crate::mesh::{Cell3d, PatchMesh};
 use crate::nearfield::{AssemblyScheme, AssemblyStats, KernelEval, NearFieldPolicy};
 use crate::parallel::{map_rows, AssemblyParallelism};
 use rough_em::green::free_space::{
-    inverse_r_integral_over_planar_polygon, inverse_r_integral_over_rectangle,
-    smooth_kernel_3d_with_derivative, smooth_part_at_origin, solid_angle_of_planar_polygon,
+    inverse_r_integral_over_planar_polygon, smooth_kernel_3d_with_derivative,
+    solid_angle_of_planar_polygon,
 };
 use rough_em::green::{GreenSample, PeriodicGreen3d, SeparationVector};
 use rough_numerics::complex::c64;
@@ -116,8 +112,7 @@ pub struct MediumBlocks {
     /// Double-layer interaction matrix `D` (N × N).
     pub double_layer: CMatrix,
     /// Integration diagnostics of this assembly (adaptive-quadrature panel
-    /// counts and depth-cap hits; all zero for the legacy scheme, which uses
-    /// fixed rules only).
+    /// counts and depth-cap hits).
     pub stats: AssemblyStats,
 }
 
@@ -170,176 +165,8 @@ pub fn assemble_medium_with(
         (green.period() - mesh.patch_length()).abs() < 1e-9 * mesh.patch_length(),
         "Green's function period must match the mesh patch length"
     );
-    match scheme {
-        AssemblyScheme::Legacy => assemble_medium_legacy(mesh, green, eval, parallelism),
-        AssemblyScheme::LocallyCorrected(policy) => {
-            assemble_medium_corrected(mesh, green, policy, eval, parallelism)
-        }
-    }
-}
-
-/// Row-local gather/evaluate buffers of the legacy scheme, one per worker.
-#[derive(Default)]
-struct LegacyScratch {
-    far_js: Vec<usize>,
-    far_seps: Vec<SeparationVector>,
-    far_out: Vec<GreenSample>,
-    near_js: Vec<usize>,
-    near_seps: Vec<SeparationVector>,
-    near_out: Vec<GreenSample>,
-}
-
-/// The computed entries of one legacy row panel (row `i` owns every pair
-/// `(i, j)` with `j > i`; the scatter writes both triangle halves).
-struct LegacyRow {
-    self_single: c64,
-    /// `(j, S_ij = S_ji, D_ij, D_ji)` of the far pairs.
-    far: Vec<(usize, c64, c64, c64)>,
-    /// `(j, S_ij, S_ji, D_ij, D_ji)` of the near pairs.
-    near: Vec<(usize, c64, c64, c64, c64)>,
-}
-
-/// The seed near-field treatment, kept as the comparison baseline. With
-/// [`KernelEval::Scalar`] it reproduces the seed bit-for-bit; under the
-/// batched default the same quadrature points are evaluated through the
-/// batched kernel, which differs only at the summation-reassociation level
-/// (≤ 1e-12 relative).
-fn assemble_medium_legacy(
-    mesh: &PatchMesh,
-    green: &PeriodicGreen3d,
-    eval: KernelEval,
-    parallelism: AssemblyParallelism,
-) -> MediumBlocks {
-    let n = mesh.len();
-    let cells = mesh.cells();
-    let area = mesh.cell_area();
-    let delta = mesh.cell_size();
-
-    // Self term: ∫_cell 1/(4πR) dx'dy' handled analytically, the smooth
-    // remainder (e^{jkR}−1)/(4πR) with its midpoint value jk/4π, and the
-    // periodic-image contribution through the regularized kernel.
-    let regular_at_zero = green.regularized(0.0, 0.0, 0.0).value;
-    let smooth_at_zero = smooth_part_at_origin(green.wavenumber());
-
-    // The fixed near rule of the legacy scheme, hoisted out of the row loop.
-    let near_rule = gauss_legendre_on(3, -0.5 * delta, 0.5 * delta);
-    let points_per_cell = near_rule.len() * near_rule.len();
-
-    let rows = map_rows(
-        n,
-        parallelism.worker_count(),
-        LegacyScratch::default,
-        |i, scratch| {
-            // The distance between two points of the same *tilted* cell is
-            // larger than their projected separation: R² = ρᵀ(I + ∇f ∇fᵀ)ρ.
-            // Diagonalizing the metric stretches the cell by the Jacobian
-            // J = √(1+|∇f|²) along the gradient direction, so the analytic
-            // static integral becomes the one over a Δ × JΔ rectangle divided
-            // by J. Neglecting this tilt makes the self term too large by
-            // O(|∇f|²), which would systematically bias the loss-enhancement
-            // factor low.
-            let stretch = cells[i].jacobian;
-            let static_part =
-                inverse_r_integral_over_rectangle(delta, delta * stretch) / (4.0 * PI * stretch);
-            let self_single =
-                c64::from_real(static_part) + (smooth_at_zero + regular_at_zero) * area;
-            // The principal value of the double layer over the (locally flat)
-            // self cell vanishes, as does the gradient of the regularized
-            // kernel at the origin, so D_ii = 0.
-
-            // Gather pass: classify each pair of the row panel as near (fixed
-            // tensor-rule quadrature over the source cell, both directions) or
-            // far (one midpoint kernel sample shared by (i, j) and (j, i)).
-            let ci = cells[i];
-            scratch.far_js.clear();
-            scratch.far_seps.clear();
-            scratch.near_js.clear();
-            scratch.near_seps.clear();
-            for (j, cj) in cells.iter().enumerate().skip(i + 1) {
-                let dx = ci.x - cj.x;
-                let dy = ci.y - cj.y;
-                let dz = ci.z - cj.z;
-                let r2 = dx * dx + dy * dy + dz * dz;
-
-                // Near interactions: the 1/R kernel varies strongly across the
-                // source cell, so a single midpoint sample biases the absorbed
-                // power low on rough surfaces. Integrate over the source cell
-                // with a tensor Gauss rule (tangent-plane surface
-                // representation).
-                let near_radius = 2.5 * delta;
-                if r2 < near_radius * near_radius {
-                    scratch.near_js.push(j);
-                    gather_source_cell_points(&near_rule, &ci, cj, &mut scratch.near_seps);
-                    gather_source_cell_points(&near_rule, cj, &ci, &mut scratch.near_seps);
-                } else {
-                    scratch.far_js.push(j);
-                    scratch.far_seps.push(SeparationVector::new(dx, dy, dz));
-                }
-            }
-
-            eval_gathered(green, eval, &scratch.far_seps, &mut scratch.far_out);
-            eval_gathered(green, eval, &scratch.near_seps, &mut scratch.near_out);
-
-            // Combine pass: fold the evaluated samples into this row's entry
-            // values (the scatter into the matrix happens serially outside).
-            let mut far = Vec::with_capacity(scratch.far_js.len());
-            for (sample, &j) in scratch.far_out.iter().zip(&scratch.far_js) {
-                let cj = cells[j];
-                let s = sample.value * area;
-
-                // ∇'G = −∇_Δ G. D_ij tests the source-cell normal n̂_j; D_ji
-                // the normal n̂_i with the opposite separation (∇_Δ G is odd).
-                let grad = sample.gradient;
-                let dij =
-                    -(grad[0] * cj.normal[0] + grad[1] * cj.normal[1] + grad[2] * cj.normal[2])
-                        * (cj.jacobian * area);
-                let dji =
-                    (grad[0] * ci.normal[0] + grad[1] * ci.normal[1] + grad[2] * ci.normal[2])
-                        * (ci.jacobian * area);
-                far.push((j, s, dij, dji));
-            }
-            let mut near = Vec::with_capacity(scratch.near_js.len());
-            for (index, &j) in scratch.near_js.iter().enumerate() {
-                let block = &scratch.near_out
-                    [2 * points_per_cell * index..2 * points_per_cell * (index + 1)];
-                let (sij, dij) =
-                    combine_source_cell(&near_rule, &cells[j], &block[..points_per_cell]);
-                let (sji, dji) = combine_source_cell(&near_rule, &ci, &block[points_per_cell..]);
-                near.push((j, sij, sji, dij, dji));
-            }
-            LegacyRow {
-                self_single,
-                far,
-                near,
-            }
-        },
-    );
-
-    // Serial scatter in row order: deterministic and race-free by
-    // construction, so the matrices are bit-identical at any thread count.
-    let mut single = CMatrix::zeros(n, n);
-    let mut double = CMatrix::zeros(n, n);
-    for (i, row) in rows.iter().enumerate() {
-        single[(i, i)] = row.self_single;
-        for &(j, s, dij, dji) in &row.far {
-            single[(i, j)] = s;
-            single[(j, i)] = s;
-            double[(i, j)] = dij;
-            double[(j, i)] = dji;
-        }
-        for &(j, sij, sji, dij, dji) in &row.near {
-            single[(i, j)] = sij;
-            single[(j, i)] = sji;
-            double[(i, j)] = dij;
-            double[(j, i)] = dji;
-        }
-    }
-
-    MediumBlocks {
-        single_layer: single,
-        double_layer: double,
-        stats: AssemblyStats::default(),
-    }
+    let AssemblyScheme::LocallyCorrected(policy) = scheme;
+    assemble_medium_corrected(mesh, green, policy, eval, parallelism)
 }
 
 /// One near entry of a corrected row panel: the source column and the
@@ -679,56 +506,6 @@ pub(crate) fn corrected_entry(
     )
 }
 
-/// Gathers the tensor-rule quadrature separations of one *near* legacy source
-/// cell (surface represented by the tangent plane at the cell centre), in the
-/// exact nested order [`combine_source_cell`] consumes them.
-fn gather_source_cell_points(
-    rule: &QuadratureRule,
-    observation: &Cell3d,
-    source: &Cell3d,
-    out: &mut Vec<SeparationVector>,
-) {
-    for (qx, _) in rule.iter() {
-        for (qy, _) in rule.iter() {
-            let xs = source.x + qx;
-            let ys = source.y + qy;
-            let zs = source.z + source.fx * qx + source.fy * qy;
-            out.push(SeparationVector::new(
-                observation.x - xs,
-                observation.y - ys,
-                observation.z - zs,
-            ));
-        }
-    }
-}
-
-/// Combines pre-evaluated kernel samples ([`gather_source_cell_points`]
-/// order) into the single- and double-layer entries of one *near* legacy
-/// source cell.
-fn combine_source_cell(
-    rule: &QuadratureRule,
-    source: &Cell3d,
-    samples: &[GreenSample],
-) -> (c64, c64) {
-    let mut s = c64::zero();
-    let mut d = c64::zero();
-    let mut index = 0;
-    for (_, wx) in rule.iter() {
-        for (_, wy) in rule.iter() {
-            let sample = &samples[index];
-            index += 1;
-            let w = wx * wy;
-            s += sample.value * w;
-            let grad = sample.gradient;
-            d += -(grad[0] * source.normal[0]
-                + grad[1] * source.normal[1]
-                + grad[2] * source.normal[2])
-                * (source.jacobian * w);
-        }
-    }
-    (s, d)
-}
-
 /// The full `2N × 2N` SWM system matrix and the incident-field right-hand side.
 #[derive(Debug, Clone)]
 pub struct SwmSystem {
@@ -749,7 +526,8 @@ pub struct SwmSystem {
 /// * `beta` — the boundary-condition contrast `β = ε₁/ε₂`;
 /// * `k1` — dielectric wavenumber used for the normally incident plane wave
 ///   `ψ_inc = e^{−j k₁ z}` evaluated on the surface;
-/// * `scheme` — how the singular and near-singular entries are integrated.
+/// * `scheme` — the near-field policy of the singular and near-singular
+///   entries.
 pub fn assemble_system(
     mesh: &PatchMesh,
     g1: &PeriodicGreen3d,
@@ -819,6 +597,7 @@ pub fn assemble_system_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rough_em::green::free_space::smooth_part_at_origin;
     use rough_surface::RoughSurface;
 
     fn small_mesh() -> PatchMesh {
@@ -829,36 +608,29 @@ mod tests {
         }))
     }
 
-    fn both_schemes() -> [AssemblyScheme; 2] {
-        [AssemblyScheme::Legacy, AssemblyScheme::default()]
-    }
-
     #[test]
     fn single_layer_is_symmetric_and_diagonally_dominant_in_magnitude() {
         let mesh = small_mesh();
         let g2 = PeriodicGreen3d::new(c64::new(1.0e6, 1.0e6), 5e-6);
-        for scheme in both_schemes() {
-            let blocks = assemble_medium(&mesh, &g2, scheme);
-            let n = mesh.len();
-            for i in 0..n {
-                for j in 0..n {
-                    // Far pairs share one midpoint sample and are exactly
-                    // symmetric; near pairs are integrated from each side over
-                    // the tangent plane of their own source cell and may
-                    // differ by a few percent on a curved surface.
-                    let a = blocks.single_layer[(i, j)];
-                    let b = blocks.single_layer[(j, i)];
-                    assert!(
-                        (a - b).abs() <= 0.15 * a.abs().max(b.abs()),
-                        "{scheme:?}: S[{i}][{j}] vs S[{j}][{i}]: {a} vs {b}"
-                    );
-                }
-                // The singular self integral dominates neighbouring
-                // interactions.
+        let blocks = assemble_medium(&mesh, &g2, AssemblyScheme::default());
+        let n = mesh.len();
+        for i in 0..n {
+            for j in 0..n {
+                // Far pairs share one midpoint sample and are exactly
+                // symmetric; near pairs are integrated from each side over
+                // the tangent plane of their own source cell and may differ
+                // by a few percent on a curved surface.
+                let a = blocks.single_layer[(i, j)];
+                let b = blocks.single_layer[(j, i)];
                 assert!(
-                    blocks.single_layer[(i, i)].abs() > blocks.single_layer[(i, (i + 1) % n)].abs()
+                    (a - b).abs() <= 0.15 * a.abs().max(b.abs()),
+                    "S[{i}][{j}] vs S[{j}][{i}]: {a} vs {b}"
                 );
             }
+            // The singular self integral dominates neighbouring interactions.
+            assert!(
+                blocks.single_layer[(i, i)].abs() > blocks.single_layer[(i, (i + 1) % n)].abs()
+            );
         }
     }
 
@@ -869,17 +641,15 @@ mod tests {
         // by symmetry, so the whole double-layer block must be ~0.
         let mesh = PatchMesh::from_surface(&RoughSurface::flat(4, 5e-6));
         let g = PeriodicGreen3d::new(c64::new(1.0e6, 1.0e6), 5e-6);
-        for scheme in both_schemes() {
-            let blocks = assemble_medium(&mesh, &g, scheme);
-            let scale = blocks.single_layer[(0, 0)].abs();
-            for i in 0..mesh.len() {
-                for j in 0..mesh.len() {
-                    assert!(
-                        blocks.double_layer[(i, j)].abs() < 1e-10 * scale,
-                        "{scheme:?}: D[{i}][{j}] = {}",
-                        blocks.double_layer[(i, j)]
-                    );
-                }
+        let blocks = assemble_medium(&mesh, &g, AssemblyScheme::default());
+        let scale = blocks.single_layer[(0, 0)].abs();
+        for i in 0..mesh.len() {
+            for j in 0..mesh.len() {
+                assert!(
+                    blocks.double_layer[(i, j)].abs() < 1e-10 * scale,
+                    "D[{i}][{j}] = {}",
+                    blocks.double_layer[(i, j)]
+                );
             }
         }
     }
@@ -888,23 +658,14 @@ mod tests {
     fn self_term_scales_roughly_linearly_with_cell_size() {
         // The dominant static self integral is proportional to Δ (not Δ²).
         let g = PeriodicGreen3d::new(c64::new(1.0e6, 1.0e6), 5e-6);
-        for scheme in both_schemes() {
-            let coarse = assemble_medium(
-                &PatchMesh::from_surface(&RoughSurface::flat(4, 5e-6)),
-                &g,
-                scheme,
-            );
-            let fine = assemble_medium(
-                &PatchMesh::from_surface(&RoughSurface::flat(8, 5e-6)),
-                &g,
-                scheme,
-            );
-            let ratio = coarse.single_layer[(0, 0)].abs() / fine.single_layer[(0, 0)].abs();
-            // The corrected scheme integrates the smooth remainder exactly
-            // (instead of one midpoint sample), which shifts the ratio a
-            // little below the legacy value at this lossy wavenumber.
-            assert!(ratio > 1.55 && ratio < 2.4, "{scheme:?}: ratio = {ratio}");
-        }
+        let self_term = |cells| {
+            let mesh = PatchMesh::from_surface(&RoughSurface::flat(cells, 5e-6));
+            assemble_medium(&mesh, &g, AssemblyScheme::default()).single_layer[(0, 0)].abs()
+        };
+        // The smooth remainder of this lossy kernel pulls the ratio a little
+        // below 2.
+        let ratio = self_term(4) / self_term(8);
+        assert!(ratio > 1.55 && ratio < 2.4, "ratio = {ratio}");
     }
 
     #[test]
@@ -927,70 +688,78 @@ mod tests {
     }
 
     #[test]
-    fn corrected_and_legacy_static_self_terms_agree_on_flat_cells() {
-        // On a flat patch the legacy metric-stretch approximation is exact, so
-        // the two schemes may differ only by the remainder treatment — a
-        // sub-percent effect at this low frequency.
-        let mesh = PatchMesh::from_surface(&RoughSurface::flat(4, 5e-6));
-        let g = PeriodicGreen3d::new(c64::new(1.0e5, 1.0e5), 5e-6);
-        let legacy = assemble_medium(&mesh, &g, AssemblyScheme::Legacy);
+    fn self_term_matches_the_closed_form_flat_square_value() {
+        // On a flat cell the static self integral has the closed form
+        // ∫∫_square 1/R dA = 4Δ·ln(1 + √2); the smooth remainder
+        // (e^{jkR} − 1)/(4πR) and the periodic-image part are nearly constant
+        // over the cell at this low frequency, so their midpoint values times
+        // the area leave only a sub-percent difference.
+        let (cells, length) = (4, 5e-6);
+        let mesh = PatchMesh::from_surface(&RoughSurface::flat(cells, length));
+        let k = c64::new(1.0e5, 1.0e5);
+        let g = PeriodicGreen3d::new(k, length);
+        let delta = length / cells as f64;
+        let static_part = 4.0 * delta * (1.0 + 2f64.sqrt()).ln() / (4.0 * PI);
+        let expected = c64::from_real(static_part)
+            + (smooth_part_at_origin(k) + g.regularized(0.0, 0.0, 0.0).value) * (delta * delta);
         let corrected = assemble_medium(&mesh, &g, AssemblyScheme::default());
-        let a = legacy.single_layer[(0, 0)];
-        let b = corrected.single_layer[(0, 0)];
-        assert!((a - b).abs() < 1e-2 * a.abs(), "{a} vs {b}");
+        let actual = corrected.single_layer[(0, 0)];
+        assert!(
+            (actual - expected).abs() < 1e-2 * expected.abs(),
+            "{actual} vs closed form {expected}"
+        );
     }
 
     #[test]
-    fn batched_and_scalar_assembly_agree_for_both_schemes() {
+    fn batched_and_scalar_assembly_agree() {
         // The blocked row-panel path may differ from the per-entry oracle only
         // at the summation-reassociation level of the batched kernel.
         let mesh = small_mesh();
         // Conductor-like and dielectric-like kernels.
         for &k in &[c64::new(1.0e6, 1.0e6), c64::new(2.0e5, 0.0)] {
             let g = PeriodicGreen3d::new(k, 5e-6);
-            for scheme in both_schemes() {
-                let scalar = assemble_medium_with(
-                    &mesh,
-                    &g,
-                    scheme,
-                    KernelEval::Scalar,
-                    AssemblyParallelism::Serial,
-                );
-                let batched = assemble_medium_with(
-                    &mesh,
-                    &g,
-                    scheme,
-                    KernelEval::Batched,
-                    AssemblyParallelism::Serial,
-                );
-                // Entries that nearly cancel (e.g. far double-layer entries on
-                // almost-coplanar pairs) carry rounding noise proportional to
-                // the *largest* entry of their block, so that is the scale the
-                // reassociation-level agreement is measured against.
-                let max_abs = |m: &CMatrix| {
-                    let mut max = 0.0f64;
-                    for i in 0..m.rows() {
-                        for j in 0..m.cols() {
-                            max = max.max(m[(i, j)].abs());
-                        }
+            let scheme = AssemblyScheme::default();
+            let scalar = assemble_medium_with(
+                &mesh,
+                &g,
+                scheme,
+                KernelEval::Scalar,
+                AssemblyParallelism::Serial,
+            );
+            let batched = assemble_medium_with(
+                &mesh,
+                &g,
+                scheme,
+                KernelEval::Batched,
+                AssemblyParallelism::Serial,
+            );
+            // Entries that nearly cancel (e.g. far double-layer entries on
+            // almost-coplanar pairs) carry rounding noise proportional to the
+            // *largest* entry of their block, so that is the scale the
+            // reassociation-level agreement is measured against.
+            let max_abs = |m: &CMatrix| {
+                let mut max = 0.0f64;
+                for i in 0..m.rows() {
+                    for j in 0..m.cols() {
+                        max = max.max(m[(i, j)].abs());
                     }
-                    max
-                };
-                let scale_s = max_abs(&scalar.single_layer);
-                let scale_d = max_abs(&scalar.double_layer).max(scale_s);
-                for i in 0..mesh.len() {
-                    for j in 0..mesh.len() {
-                        let (a, b) = (scalar.single_layer[(i, j)], batched.single_layer[(i, j)]);
-                        assert!(
-                            (a - b).abs() <= 1e-12 * (scale_s + a.abs()),
-                            "{scheme:?} S[{i}][{j}]: {a} vs {b}"
-                        );
-                        let (a, b) = (scalar.double_layer[(i, j)], batched.double_layer[(i, j)]);
-                        assert!(
-                            (a - b).abs() <= 1e-12 * (scale_d + a.abs()),
-                            "{scheme:?} D[{i}][{j}]: {a} vs {b}"
-                        );
-                    }
+                }
+                max
+            };
+            let scale_s = max_abs(&scalar.single_layer);
+            let scale_d = max_abs(&scalar.double_layer).max(scale_s);
+            for i in 0..mesh.len() {
+                for j in 0..mesh.len() {
+                    let (a, b) = (scalar.single_layer[(i, j)], batched.single_layer[(i, j)]);
+                    assert!(
+                        (a - b).abs() <= 1e-12 * (scale_s + a.abs()),
+                        "S[{i}][{j}]: {a} vs {b}"
+                    );
+                    let (a, b) = (scalar.double_layer[(i, j)], batched.double_layer[(i, j)]);
+                    assert!(
+                        (a - b).abs() <= 1e-12 * (scale_d + a.abs()),
+                        "D[{i}][{j}]: {a} vs {b}"
+                    );
                 }
             }
         }
@@ -1000,44 +769,40 @@ mod tests {
     fn parallel_assembly_is_bit_identical_across_thread_counts() {
         // Rows are independent work items scattered serially, so the
         // assembled matrices must match the serial result bit for bit at any
-        // thread count — for both schemes and both kernel evaluation paths.
+        // thread count — for both kernel evaluation paths.
         let mesh = small_mesh();
         let g = PeriodicGreen3d::new(c64::new(1.0e6, 1.0e6), 5e-6);
-        for scheme in both_schemes() {
-            for eval in [KernelEval::Batched, KernelEval::Scalar] {
-                let serial =
-                    assemble_medium_with(&mesh, &g, scheme, eval, AssemblyParallelism::Serial);
-                for threads in [1usize, 2, 4, 8] {
-                    let parallel = assemble_medium_with(
-                        &mesh,
-                        &g,
-                        scheme,
-                        eval,
-                        AssemblyParallelism::workers(threads),
-                    );
-                    for i in 0..mesh.len() {
-                        for j in 0..mesh.len() {
-                            let (a, b) =
-                                (serial.single_layer[(i, j)], parallel.single_layer[(i, j)]);
-                            assert_eq!(
-                                (a.re.to_bits(), a.im.to_bits()),
-                                (b.re.to_bits(), b.im.to_bits()),
-                                "{scheme:?}/{eval:?} S[{i}][{j}] at {threads} threads"
-                            );
-                            let (a, b) =
-                                (serial.double_layer[(i, j)], parallel.double_layer[(i, j)]);
-                            assert_eq!(
-                                (a.re.to_bits(), a.im.to_bits()),
-                                (b.re.to_bits(), b.im.to_bits()),
-                                "{scheme:?}/{eval:?} D[{i}][{j}] at {threads} threads"
-                            );
-                        }
+        let scheme = AssemblyScheme::default();
+        for eval in [KernelEval::Batched, KernelEval::Scalar] {
+            let serial = assemble_medium_with(&mesh, &g, scheme, eval, AssemblyParallelism::Serial);
+            for threads in [1usize, 2, 4, 8] {
+                let parallel = assemble_medium_with(
+                    &mesh,
+                    &g,
+                    scheme,
+                    eval,
+                    AssemblyParallelism::workers(threads),
+                );
+                for i in 0..mesh.len() {
+                    for j in 0..mesh.len() {
+                        let (a, b) = (serial.single_layer[(i, j)], parallel.single_layer[(i, j)]);
+                        assert_eq!(
+                            (a.re.to_bits(), a.im.to_bits()),
+                            (b.re.to_bits(), b.im.to_bits()),
+                            "{eval:?} S[{i}][{j}] at {threads} threads"
+                        );
+                        let (a, b) = (serial.double_layer[(i, j)], parallel.double_layer[(i, j)]);
+                        assert_eq!(
+                            (a.re.to_bits(), a.im.to_bits()),
+                            (b.re.to_bits(), b.im.to_bits()),
+                            "{eval:?} D[{i}][{j}] at {threads} threads"
+                        );
                     }
-                    assert_eq!(
-                        parallel.stats, serial.stats,
-                        "{scheme:?}/{eval:?} stats at {threads} threads"
-                    );
                 }
+                assert_eq!(
+                    parallel.stats, serial.stats,
+                    "{eval:?} stats at {threads} threads"
+                );
             }
         }
     }
@@ -1061,9 +826,6 @@ mod tests {
             "{:?} vs self scale {self_scale}",
             corrected.stats
         );
-        // The legacy scheme uses fixed rules only: no adaptive statistics.
-        let legacy = assemble_medium(&mesh, &g, AssemblyScheme::Legacy);
-        assert_eq!(legacy.stats, AssemblyStats::default());
     }
 
     #[test]
@@ -1098,7 +860,7 @@ mod tests {
             &g2,
             c64::new(0.0, -1e-8),
             c64::new(200.0, 0.0),
-            AssemblyScheme::Legacy,
+            AssemblyScheme::default(),
         );
         assert_eq!(system.surface_unknowns, 16);
         assert_eq!(system.matrix.rows(), 32);

@@ -47,7 +47,7 @@
 //! The equivalence is pinned the way `KernelEval::Scalar` pins `Batched`:
 //! matvec agreement on random vectors ≤ 1e-10 relative across quasi-static,
 //! lossy and high-`|k|L` regimes, and end-to-end Pr/Ps agreement on the
-//! Fig. 5 golden (`tests/matrixfree_equivalence.rs`).
+//! Fig. 5 golden (`crates/core/tests/krylov_equivalence.rs`).
 
 use crate::assembly3d::{
     corrected_entry, eval_gathered, eval_gathered_regularized, gather_image_points, NearRules,

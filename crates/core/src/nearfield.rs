@@ -8,8 +8,7 @@
 //! sampling systematically biased. Once the skin depth drops below the cell
 //! size the bias overwhelms the physical roughness-loss trend.
 //!
-//! [`AssemblyScheme`] selects between the seed behaviour
-//! ([`AssemblyScheme::Legacy`]) and the locally corrected scheme
+//! [`AssemblyScheme`] carries the policy of the locally corrected scheme
 //! ([`AssemblyScheme::LocallyCorrected`]): analytic integration of the static
 //! singularity over the exact source-cell geometry (Wilton polygon potential
 //! and solid angle in 3D, segment log-integral and subtended angle in 2D) plus
@@ -68,7 +67,7 @@ impl AssemblyStats {
     }
 
     /// `true` when every adaptive entry met the tolerance before the depth
-    /// cap (vacuously true for the legacy scheme's fixed rules).
+    /// cap.
     pub fn all_converged(&self) -> bool {
         self.unconverged_entries == 0
     }
@@ -132,9 +131,7 @@ impl NearFieldPolicy {
 
 impl Default for NearFieldPolicy {
     /// The default corrects every source cell within 2.5 cell sizes with an
-    /// order-4 (embedded order-6) adaptive rule — the same neighbourhood the
-    /// legacy scheme treated with a fixed 3 × 3 rule, now integrated to a
-    /// controlled accuracy.
+    /// order-4 (embedded order-6) adaptive rule.
     fn default() -> Self {
         Self {
             radius: 2.5,
@@ -146,12 +143,6 @@ impl Default for NearFieldPolicy {
 /// How the MOM matrix entries are integrated.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AssemblyScheme {
-    /// The seed behaviour: analytic static self term approximated on a
-    /// metric-stretched rectangle, fixed low-order Gauss rules on near
-    /// neighbours (no periodic wrap-around in the near test), midpoint
-    /// sampling elsewhere. Kept as the comparison baseline for convergence
-    /// studies and regression tests.
-    Legacy,
     /// Locally corrected near-field assembly: exact analytic static integrals
     /// over the tangent-plane cell geometry plus adaptive quadrature for the
     /// smooth remainder.
@@ -162,11 +153,6 @@ impl AssemblyScheme {
     /// The locally corrected scheme with default policy.
     pub fn corrected() -> Self {
         Self::LocallyCorrected(NearFieldPolicy::default())
-    }
-
-    /// Returns `true` for the locally corrected scheme.
-    pub fn is_corrected(&self) -> bool {
-        matches!(self, Self::LocallyCorrected(_))
     }
 }
 
@@ -183,16 +169,9 @@ mod tests {
 
     #[test]
     fn defaults_are_the_corrected_scheme() {
-        let scheme = AssemblyScheme::default();
-        assert!(scheme.is_corrected());
-        match scheme {
-            AssemblyScheme::LocallyCorrected(policy) => {
-                assert_eq!(policy.radius, 2.5);
-                assert_eq!(policy.order, 4);
-            }
-            AssemblyScheme::Legacy => unreachable!(),
-        }
-        assert!(!AssemblyScheme::Legacy.is_corrected());
+        let AssemblyScheme::LocallyCorrected(policy) = AssemblyScheme::default();
+        assert_eq!(policy.radius, 2.5);
+        assert_eq!(policy.order, 4);
     }
 
     #[test]

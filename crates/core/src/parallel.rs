@@ -29,7 +29,7 @@ pub const ASSEMBLY_THREADS_ENV: &str = "ROUGHSIM_ASSEMBLY_THREADS";
 /// Orthogonal to [`crate::AssemblyScheme`] and [`crate::KernelEval`]: the
 /// knob changes wall-clock time only — parallel and serial assemblies are
 /// bit-identical, because every row is computed independently and scattered
-/// in a fixed order (pinned by tests at 1/2/4/8 threads for both schemes).
+/// in a fixed order (pinned by tests at 1/2/4/8 threads, 3D and 2D).
 ///
 /// The default is [`AssemblyParallelism::Serial`] so standalone solves keep
 /// their historical behaviour; the batch engine picks a worker count from its

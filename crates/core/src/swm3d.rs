@@ -383,12 +383,7 @@ impl SwmProblem {
                 (solution, stats, n)
             }
             OperatorRepr::MatrixFree(mf_policy) => {
-                let AssemblyScheme::LocallyCorrected(policy) = operator.assembly else {
-                    return Err(SwmError::InvalidConfiguration(
-                        "the matrix-free operator requires the locally corrected assembly scheme"
-                            .into(),
-                    ));
-                };
+                let AssemblyScheme::LocallyCorrected(policy) = operator.assembly;
                 let mf = MatrixFreeOperator::assemble_with_cache(
                     &mesh,
                     &operator.g1,
@@ -663,13 +658,6 @@ impl SwmProblemBuilder {
                         .into(),
                 ));
             }
-            if matches!(self.assembly, AssemblyScheme::Legacy) {
-                return Err(SwmError::InvalidConfiguration(
-                    "the matrix-free operator precorrects near entries with the locally \
-                     corrected scheme; AssemblyScheme::Legacy is not supported"
-                        .into(),
-                ));
-            }
         }
         if self.cells_per_side > 128 {
             return Err(SwmError::InvalidConfiguration(format!(
@@ -866,16 +854,6 @@ mod tests {
         assert!(matches!(
             SwmProblem::builder(stack, spec.clone())
                 .frequency(GigaHertz::new(5.0).into())
-                .operator_repr(OperatorRepr::MatrixFree(Default::default()))
-                .build(),
-            Err(SwmError::InvalidConfiguration(_))
-        ));
-        // The legacy scheme has no locally corrected near integrals to reuse.
-        assert!(matches!(
-            SwmProblem::builder(stack, spec.clone())
-                .frequency(GigaHertz::new(5.0).into())
-                .solver(SolverKind::Bicgstab { tolerance: 1e-10 })
-                .assembly(AssemblyScheme::Legacy)
                 .operator_repr(OperatorRepr::MatrixFree(Default::default()))
                 .build(),
             Err(SwmError::InvalidConfiguration(_))

@@ -7,7 +7,7 @@
 //! — the smooth-surface reference solve `Ps`, itself a full MOM assembly +
 //! dense factorization. The cache builds each context once and shares it via
 //! `Arc` across every realization, every ensemble, and every
-//! [`crate::Engine::run`] call on the same engine. Context problems inherit
+//! [`crate::Run`] configured with the same cache. Context problems inherit
 //! the default `rough_core::KernelEval::Batched` blocked row-panel assembly,
 //! so both the cached flat-reference solve and every per-realization solve
 //! executed against a context go through the batched Ewald kernel path. Karhunen–Loève bases — the

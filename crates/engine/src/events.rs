@@ -28,9 +28,9 @@ pub enum RunEvent {
         /// The committed record.
         record: UnitRecord,
         /// Measured wall time between this unit's `UnitStarted` and its
-        /// completion, when the run layer observed both ends (subprocess
-        /// workers report records without start timestamps, so their units
-        /// carry `None`). This is the raw material for calibrating
+        /// completion (for socket workers, the worker-measured solve time), or
+        /// `None` when the run layer observed neither. This is the raw
+        /// material for calibrating
         /// [`crate::schedule::CostOrdered`] from real data.
         wall: Option<Duration>,
     },

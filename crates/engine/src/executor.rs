@@ -12,20 +12,17 @@
 //! Three executors ship with the engine:
 //!
 //! * [`SerialExecutor`] — one unit at a time on the calling thread; the
-//!   reference implementation and the workhorse of worker processes.
+//!   reference implementation every parallel executor is checked against.
 //! * [`ThreadPoolExecutor`] — a sized thread pool (the engine's default).
-//! * [`crate::subprocess::SubprocessExecutor`] — shards units across worker
-//!   *processes* for isolation and multi-process scale-out.
-//!
-//! [`Engine`] remains the convenient facade: it owns a thread-pool executor
-//! plus a persistent [`KernelCache`] and `Engine::run` is now a thin wrapper
-//! over the session-oriented [`crate::run::Run`] API.
+//! * [`crate::socket::SocketExecutor`] — persistent warm worker *processes*
+//!   connected over sockets, for isolation and multi-process scale-out.
 
 use crate::cache::{CaseContext, KernelCache};
 use crate::error::EngineError;
 use crate::plan::{Plan, PlannedCase, UnitTask, WorkUnit};
-use crate::report::{CampaignReport, UnitRecord};
-use crate::run::{Run, RunConfig, UnitSink};
+use crate::report::UnitRecord;
+use crate::run::UnitSink;
+use crate::socket::SocketExecutor;
 use rayon::prelude::*;
 use rough_core::AssemblyParallelism;
 use rough_surface::RoughSurface;
@@ -37,35 +34,34 @@ pub fn core_budget() -> usize {
     rough_core::parallel::available_cores()
 }
 
-/// The fair budget share of one solve when `workers` units run concurrently:
-/// `⌊budget / workers⌋` assembly threads, at least 1 — so
-/// `workers × threads ≤ budget` and a fully-sized thread pool keeps assembly
-/// serial instead of oversubscribing.
-fn budget_share(workers: usize) -> AssemblyParallelism {
-    AssemblyParallelism::workers((core_budget() / workers.max(1)).max(1))
-}
-
-/// The intra-solve assembly parallelism an executor running `workers`
-/// concurrent units should give each solve: the `ROUGHSIM_ASSEMBLY_THREADS`
-/// override when set, otherwise the executor's fair share of the core budget
-/// (`budget_share`).
-pub fn shared_budget_assembly(workers: usize) -> AssemblyParallelism {
-    AssemblyParallelism::from_env().unwrap_or_else(|| budget_share(workers))
+/// The intra-solve assembly parallelism of each solve when `workers` units
+/// run concurrently on `budget` cores: the `ROUGHSIM_ASSEMBLY_THREADS`
+/// override when set, otherwise `⌊budget / workers⌋` threads, at least 1 — so
+/// `workers × threads ≤ budget` and a fully-sized pool keeps assembly serial
+/// instead of oversubscribing. Every executor sizes its solves (in-process or
+/// in spawned workers) through this one function.
+pub fn assembly_share(budget: usize, workers: usize) -> AssemblyParallelism {
+    AssemblyParallelism::from_env()
+        .unwrap_or_else(|| AssemblyParallelism::workers((budget / workers.max(1)).max(1)))
 }
 
 /// Environment variable naming the executor every driver should use — see
 /// [`executor_from_env`].
 pub const EXECUTOR_ENV: &str = "ROUGHSIM_EXECUTOR";
 
-/// Parses an executor spec string into a boxed [`UnitExecutor`]:
+/// Parses an executor spec string into a boxed [`UnitExecutor`] sized against
+/// a core `budget` (pass [`core_budget`] for the whole machine; a daemon
+/// running `J` jobs at once hands each runner `max(1, core_budget() / J)` so
+/// `jobs × workers × assembly threads` never oversubscribes the machine):
 ///
-/// * `""` or `threads` — hardware-sized thread pool (the default);
-/// * `threads:N` — N-thread pool;
-/// * `serial` — single-threaded reference executor;
-/// * `subprocess` / `subprocess:N` — N worker subprocesses (the binary must
-///   call [`crate::subprocess::maybe_serve_worker`] first thing in `main`);
-/// * `socket` / `socket:N` — N persistent socket workers over loopback TCP
-///   (same `maybe_serve_worker` requirement).
+/// * `""` or `threads` — a `budget`-thread pool; `threads:N` — an N-thread
+///   pool; its solves each get the [`assembly_share`] of the budget;
+/// * `serial` — one unit at a time with the *whole* budget inside the solve
+///   (a single-worker pool, bit-identical to [`SerialExecutor`]);
+/// * `socket` / `socket:N` — `budget` (or N) persistent socket workers over
+///   loopback TCP whose children derive their assembly share from the budget
+///   (the binary must call [`crate::maybe_serve_worker`] first thing in
+///   `main`).
 ///
 /// Results are bit-identical across all of them; only wall time and process
 /// layout change.
@@ -74,67 +70,7 @@ pub const EXECUTOR_ENV: &str = "ROUGHSIM_EXECUTOR";
 ///
 /// Returns [`EngineError::InvalidScenario`] on an unknown kind or a malformed
 /// worker count.
-pub fn parse_executor_spec(spec: &str) -> Result<Arc<dyn UnitExecutor>, EngineError> {
-    let bad = |reason: String| EngineError::InvalidScenario(reason);
-    let (kind, workers) = match spec.split_once(':') {
-        Some((kind, n)) => (
-            kind,
-            n.parse::<usize>()
-                .map_err(|_| bad(format!("executor spec `{spec}`: bad worker count `{n}`")))?,
-        ),
-        None => (spec, 0),
-    };
-    Ok(match kind {
-        "" | "threads" => Arc::new(ThreadPoolExecutor::new(workers)),
-        "serial" => Arc::new(SerialExecutor),
-        "subprocess" => Arc::new(crate::subprocess::SubprocessExecutor::new(workers)),
-        "socket" => Arc::new(crate::socket::SocketExecutor::new(workers)),
-        other => return Err(bad(format!("unknown executor `{other}`"))),
-    })
-}
-
-/// Selects a [`UnitExecutor`] from the `ROUGHSIM_EXECUTOR` environment
-/// variable (see [`parse_executor_spec`] for the accepted values), so every
-/// driver can switch between in-process, multi-process and socket execution
-/// without code changes.
-///
-/// # Errors
-///
-/// Propagates [`parse_executor_spec`] failures.
-pub fn executor_from_env() -> Result<Arc<dyn UnitExecutor>, EngineError> {
-    parse_executor_spec(&std::env::var(EXECUTOR_ENV).unwrap_or_default())
-}
-
-/// The intra-solve assembly share of one worker drawing on `budget` cores:
-/// the `ROUGHSIM_ASSEMBLY_THREADS` override when set, else
-/// `⌊budget / workers⌋` (at least 1).
-fn budgeted_assembly(budget: usize, workers: usize) -> AssemblyParallelism {
-    AssemblyParallelism::from_env()
-        .unwrap_or_else(|| AssemblyParallelism::workers((budget / workers.max(1)).max(1)))
-}
-
-/// Parses an executor spec like [`parse_executor_spec`], but sizes the
-/// executor against an explicit core `budget` instead of the whole machine —
-/// the building block for running several campaigns concurrently: a daemon
-/// running `J` jobs at once hands each runner
-/// `budget = max(1, core_budget() / J)` so
-/// `jobs × workers × assembly threads` never oversubscribes the machine.
-///
-/// Sizing per kind (`workers = budget` when the spec leaves the count at 0,
-/// assembly share `⌊budget / workers⌋`, `ROUGHSIM_ASSEMBLY_THREADS` still
-/// winning everywhere):
-///
-/// * `threads[:N]` — an N-thread pool whose solves each get the budget share;
-/// * `serial` — one unit at a time with the *whole* budget inside the solve
-///   (realized as a single-worker pool, bit-identical to [`SerialExecutor`]);
-/// * `subprocess[:N]` / `socket[:N]` — N worker processes whose children
-///   derive their assembly share from the budget, not the machine.
-///
-/// # Errors
-///
-/// Returns [`EngineError::InvalidScenario`] on an unknown kind or a
-/// malformed worker count, like [`parse_executor_spec`].
-pub fn parse_executor_spec_budgeted(
+pub fn parse_executor_spec(
     spec: &str,
     budget: usize,
 ) -> Result<Arc<dyn UnitExecutor>, EngineError> {
@@ -148,38 +84,35 @@ pub fn parse_executor_spec_budgeted(
         ),
         None => (spec, 0),
     };
-    let sized = |n: usize| if n == 0 { budget } else { n };
+    let workers = if workers == 0 { budget } else { workers };
     Ok(match kind {
-        "" | "threads" => {
-            let w = sized(workers);
-            Arc::new(ThreadPoolExecutor::with_assembly(
-                w,
-                budgeted_assembly(budget, w),
-            ))
-        }
+        "" | "threads" => Arc::new(ThreadPoolExecutor::with_assembly(
+            workers,
+            assembly_share(budget, workers),
+        )),
         "serial" => Arc::new(ThreadPoolExecutor::with_assembly(
             1,
-            budgeted_assembly(budget, 1),
+            assembly_share(budget, 1),
         )),
-        "subprocess" => Arc::new(
-            crate::subprocess::SubprocessExecutor::new(sized(workers)).with_core_budget(budget),
-        ),
-        "socket" => {
-            Arc::new(crate::socket::SocketExecutor::new(sized(workers)).with_core_budget(budget))
+        "socket" => Arc::new(SocketExecutor::new(workers).with_core_budget(budget)),
+        other => {
+            return Err(bad(format!(
+                "unknown executor `{other}`: expected `threads[:N]`, `serial` or `socket[:N]`"
+            )))
         }
-        other => return Err(bad(format!("unknown executor `{other}`"))),
     })
 }
 
-/// [`parse_executor_spec_budgeted`] over the `ROUGHSIM_EXECUTOR` environment
-/// variable — what each runner of a multi-job daemon calls with its slice of
-/// the core budget.
+/// Selects a [`UnitExecutor`] from the `ROUGHSIM_EXECUTOR` environment
+/// variable (see [`parse_executor_spec`] for the accepted values and the
+/// meaning of `budget`), so every driver can switch between in-process and
+/// socket execution without code changes.
 ///
 /// # Errors
 ///
-/// Propagates [`parse_executor_spec_budgeted`] failures.
-pub fn executor_from_env_budgeted(budget: usize) -> Result<Arc<dyn UnitExecutor>, EngineError> {
-    parse_executor_spec_budgeted(&std::env::var(EXECUTOR_ENV).unwrap_or_default(), budget)
+/// Propagates [`parse_executor_spec`] failures.
+pub fn executor_from_env(budget: usize) -> Result<Arc<dyn UnitExecutor>, EngineError> {
+    parse_executor_spec(&std::env::var(EXECUTOR_ENV).unwrap_or_default(), budget)
 }
 
 /// Executes scheduled work units, committing each completed record through
@@ -199,7 +132,7 @@ pub trait UnitExecutor: Send + Sync + std::fmt::Debug {
     /// Short executor label (reports, logs, benchmarks).
     fn name(&self) -> &'static str;
 
-    /// Worker parallelism (reported as [`CampaignReport::threads`]).
+    /// Worker parallelism (reported as [`crate::CampaignReport::threads`]).
     fn parallelism(&self) -> usize;
 
     /// Executes `order` against `plan`, committing records into `sink`.
@@ -220,10 +153,8 @@ pub trait UnitExecutor: Send + Sync + std::fmt::Debug {
 ///
 /// One unit at a time means the whole core budget is available *inside* each
 /// solve: the serial executor gives every unit
-/// [`shared_budget_assembly`]`(1)` worth of intra-solve assembly threads
-/// (still bit-identical to single-threaded assembly). Worker processes spawned
-/// by [`crate::subprocess::SubprocessExecutor`] inherit their share through
-/// the `ROUGHSIM_ASSEMBLY_THREADS` environment override instead.
+/// [`assembly_share`]`(core_budget(), 1)` worth of intra-solve assembly
+/// threads (still bit-identical to single-threaded assembly).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SerialExecutor;
 
@@ -243,7 +174,7 @@ impl UnitExecutor for SerialExecutor {
         cache: &KernelCache,
         sink: &UnitSink<'_>,
     ) -> Result<(), EngineError> {
-        let assembly = shared_budget_assembly(1);
+        let assembly = assembly_share(core_budget(), 1);
         for &unit_id in order {
             if sink.is_cancelled() {
                 return Ok(());
@@ -271,12 +202,12 @@ impl ThreadPoolExecutor {
     /// Creates a pool executor with `threads` workers (0 means one per
     /// hardware core). Each worker's solves get the executor's fair share of
     /// the core budget as intra-solve assembly threads
-    /// ([`shared_budget_assembly`]), so `units × assembly threads` never
+    /// ([`assembly_share`]), so `units × assembly threads` never
     /// oversubscribes the machine; `ROUGHSIM_ASSEMBLY_THREADS` overrides the
     /// share.
     pub fn new(threads: usize) -> Self {
         let threads = if threads == 0 { core_budget() } else { threads };
-        Self::with_assembly(threads, shared_budget_assembly(threads))
+        Self::with_assembly(threads, assembly_share(core_budget(), threads))
     }
 
     /// Creates a pool executor with an explicit intra-solve assembly
@@ -503,102 +434,11 @@ pub(crate) fn build_context(
     })
 }
 
-/// The batch simulation engine: a thread-pool executor plus a kernel cache
-/// that persists across runs (a frequency sweep re-run with more realizations
-/// hits the cache for every context it has already prepared).
-///
-/// `Engine` is the compatible facade over the session-oriented
-/// [`crate::run::Run`] API: `engine.run(&scenario)` is exactly
-/// `Run::new(&scenario, engine.run_config())?.execute()`. Use [`Run`]
-/// directly for streaming events, checkpointing, alternative executors or
-/// cost-ordered scheduling.
-#[derive(Debug)]
-pub struct Engine {
-    executor: Arc<ThreadPoolExecutor>,
-    cache: Arc<KernelCache>,
-}
-
-/// Builder for [`Engine`].
-#[derive(Debug, Default)]
-pub struct EngineBuilder {
-    threads: Option<usize>,
-}
-
-impl EngineBuilder {
-    /// Sets the worker-thread count (defaults to one per hardware core).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = if threads == 0 { None } else { Some(threads) };
-        self
-    }
-
-    /// Builds the engine.
-    pub fn build(self) -> Engine {
-        Engine {
-            executor: Arc::new(ThreadPoolExecutor::new(self.threads.unwrap_or(0))),
-            cache: Arc::new(KernelCache::new()),
-        }
-    }
-}
-
-impl Default for Engine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Engine {
-    /// An engine with one worker per hardware core.
-    pub fn new() -> Self {
-        Self::builder().build()
-    }
-
-    /// Starts building an engine.
-    pub fn builder() -> EngineBuilder {
-        EngineBuilder::default()
-    }
-
-    /// Worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.executor.parallelism()
-    }
-
-    /// The engine's kernel cache (shared across runs).
-    pub fn cache(&self) -> &KernelCache {
-        &self.cache
-    }
-
-    /// A [`RunConfig`] wired to this engine's thread pool and persistent
-    /// cache — the starting point for customized runs (checkpoints,
-    /// observers, schedulers) that still share the engine's cached kernels.
-    pub fn run_config(&self) -> RunConfig {
-        RunConfig::new()
-            .executor_arc(Arc::clone(&self.executor) as Arc<dyn UnitExecutor>)
-            .cache(Arc::clone(&self.cache))
-    }
-
-    /// Plans and executes a scenario.
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning failures and solver errors.
-    pub fn run(&self, scenario: &crate::scenario::Scenario) -> Result<CampaignReport, EngineError> {
-        Run::new(scenario, self.run_config())?.execute()
-    }
-
-    /// Executes an already expanded plan.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver errors from any work unit.
-    pub fn run_plan(&self, plan: &Plan) -> Result<CampaignReport, EngineError> {
-        Run::with_plan(plan.clone(), self.run_config()).execute()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::CaseOutcome;
+    use crate::report::{CampaignReport, CaseOutcome};
+    use crate::run::{Run, RunConfig};
     use crate::scenario::Scenario;
     use rough_core::RoughnessSpec;
     use rough_em::material::Stackup;
@@ -620,10 +460,19 @@ mod tests {
             .unwrap()
     }
 
+    fn run_pooled(scenario: &Scenario, threads: usize) -> CampaignReport {
+        Run::new(
+            scenario,
+            RunConfig::new().executor(ThreadPoolExecutor::new(threads)),
+        )
+        .unwrap()
+        .execute()
+        .unwrap()
+    }
+
     #[test]
     fn monte_carlo_campaign_produces_physical_statistics() {
-        let engine = Engine::builder().threads(2).build();
-        let report = engine.run(&small_scenario(5)).unwrap();
+        let report = run_pooled(&small_scenario(5), 2);
         assert_eq!(report.cases.len(), 1);
         assert_eq!(report.records.len(), 5);
         let case = &report.cases[0];
@@ -636,10 +485,17 @@ mod tests {
 
     #[test]
     fn rerunning_hits_the_persistent_cache() {
-        let engine = Engine::builder().threads(1).build();
+        let executor: Arc<dyn UnitExecutor> = Arc::new(ThreadPoolExecutor::new(1));
+        let cache = Arc::new(KernelCache::new());
         let scenario = small_scenario(3);
-        let first = engine.run(&scenario).unwrap();
-        let second = engine.run(&scenario).unwrap();
+        let run = || {
+            let config = RunConfig::new()
+                .executor_arc(Arc::clone(&executor))
+                .cache(Arc::clone(&cache));
+            Run::new(&scenario, config).unwrap().execute().unwrap()
+        };
+        let first = run();
+        let second = run();
         assert!(first.cache.misses >= 1);
         assert_eq!(second.cache.misses, 0, "second run must be fully cached");
         assert_eq!(first.cases[0].mean, second.cases[0].mean);
@@ -662,8 +518,7 @@ mod tests {
             .deterministic(surface)
             .build()
             .unwrap();
-        let engine = Engine::builder().threads(2).build();
-        let report = engine.run(&scenario).unwrap();
+        let report = run_pooled(&scenario, 2);
         assert_eq!(report.cases.len(), 2);
         for case in &report.cases {
             assert_eq!(case.solves, 1);
@@ -676,58 +531,57 @@ mod tests {
 
     #[test]
     fn budget_split_never_oversubscribes() {
-        // units × per-solve assembly threads must stay within the core
-        // budget whenever the worker count itself fits the machine; beyond
-        // that each solve degrades to serial assembly. Tested through the
-        // pure split (budget_share) so an exported ROUGHSIM_ASSEMBLY_THREADS
-        // in the test environment — which legitimately overrides the split —
-        // cannot fail it.
-        let budget = core_budget();
-        for workers in [1usize, 2, 4, 8, 16, 64] {
-            let assembly = budget_share(workers).worker_count();
-            if workers <= budget {
-                assert!(
-                    workers * assembly <= budget,
-                    "{workers} workers x {assembly} assembly threads exceeds budget {budget}"
-                );
-            } else {
-                assert_eq!(assembly, 1, "oversized pools must keep assembly serial");
+        // units × per-solve assembly threads must stay within the budget
+        // whenever the worker count itself fits it; beyond that each solve
+        // degrades to serial assembly. An exported ROUGHSIM_ASSEMBLY_THREADS
+        // legitimately overrides the split, and then it must win everywhere.
+        let pinned = AssemblyParallelism::from_env();
+        for budget in [1usize, 2, 4, 7, core_budget()] {
+            for workers in [1usize, 2, 3, 4, 8, 16, 64] {
+                let share = assembly_share(budget, workers);
+                if let Some(pinned) = pinned {
+                    assert_eq!(share, pinned, "the override wins");
+                    continue;
+                }
+                let assembly = share.worker_count();
+                if workers <= budget {
+                    assert!(
+                        workers * assembly <= budget,
+                        "{workers} workers x {assembly} assembly threads exceeds budget {budget}"
+                    );
+                } else {
+                    assert_eq!(assembly, 1, "oversized pools must keep assembly serial");
+                }
+                // A solo unit gets the whole budget.
+                if workers == 1 {
+                    assert_eq!(assembly, budget);
+                }
             }
         }
-        // A solo unit gets the whole budget.
-        assert_eq!(budget_share(1).worker_count(), budget);
     }
 
     #[test]
     fn budgeted_specs_size_workers_and_assembly_within_the_slice() {
-        // The multi-job split: J concurrent runners each get a slice of the
-        // machine, and workers × assembly must fit the slice. Tested through
-        // budgeted_assembly (env-override-free) plus the parsed worker
-        // counts, mirroring budget_split_never_oversubscribes.
-        for budget in [1usize, 2, 4, 7] {
-            for workers in [1usize, 2, 3, 8] {
-                let assembly =
-                    AssemblyParallelism::workers((budget / workers.max(1)).max(1)).worker_count();
-                if workers <= budget {
-                    assert!(
-                        workers * assembly <= budget,
-                        "{workers}w x {assembly}a exceeds slice {budget}"
-                    );
-                } else {
-                    assert_eq!(assembly, 1);
+        // An unsized `threads` spec fills exactly its budget, one worker per
+        // core; `serial` keeps one unit in flight.
+        let pool = parse_executor_spec("threads", 3).unwrap();
+        assert_eq!(pool.parallelism(), 3);
+        let solo = parse_executor_spec("serial", 3).unwrap();
+        assert_eq!(solo.parallelism(), 1);
+        let explicit = parse_executor_spec("threads:2", 8).unwrap();
+        assert_eq!(explicit.parallelism(), 2);
+        assert_eq!(parse_executor_spec("", 2).unwrap().name(), "thread-pool");
+        assert!(parse_executor_spec("warp-drive", 2).is_err());
+        assert!(parse_executor_spec("threads:x", 2).is_err());
+        // An unknown kind is refused with an error naming the accepted ones.
+        match parse_executor_spec("subprocess:2", 2) {
+            Err(EngineError::InvalidScenario(reason)) => {
+                for kind in ["threads", "serial", "socket"] {
+                    assert!(reason.contains(kind), "{reason}");
                 }
             }
+            other => panic!("expected InvalidScenario, got {other:?}"),
         }
-        // An unsized `threads` spec fills exactly its slice, one worker per
-        // budgeted core; `serial` keeps one unit in flight.
-        let pool = parse_executor_spec_budgeted("threads", 3).unwrap();
-        assert_eq!(pool.parallelism(), 3);
-        let solo = parse_executor_spec_budgeted("serial", 3).unwrap();
-        assert_eq!(solo.parallelism(), 1);
-        let explicit = parse_executor_spec_budgeted("threads:2", 8).unwrap();
-        assert_eq!(explicit.parallelism(), 2);
-        assert!(parse_executor_spec_budgeted("warp-drive", 2).is_err());
-        assert!(parse_executor_spec_budgeted("threads:x", 2).is_err());
     }
 
     #[test]
@@ -739,7 +593,7 @@ mod tests {
             .unwrap();
         let budgeted = Run::new(
             &scenario,
-            RunConfig::new().executor_arc(parse_executor_spec_budgeted("serial", 2).unwrap()),
+            RunConfig::new().executor_arc(parse_executor_spec("serial", 2).unwrap()),
         )
         .unwrap()
         .execute()
@@ -790,8 +644,7 @@ mod tests {
 
     #[test]
     fn unit_times_are_recorded_for_in_process_executors() {
-        let engine = Engine::builder().threads(2).build();
-        let report = engine.run(&small_scenario(3)).unwrap();
+        let report = run_pooled(&small_scenario(3), 2);
         assert_eq!(report.unit_times.len(), report.records.len());
         assert!(
             report.unit_times.iter().all(|t| t.is_some()),

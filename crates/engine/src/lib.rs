@@ -18,7 +18,7 @@
 //!    session-oriented [`run::Run`] API: a [`run::RunConfig`] picks one of
 //!    three [`executor::UnitExecutor`]s ([`executor::SerialExecutor`],
 //!    [`executor::ThreadPoolExecutor`], or the multi-process
-//!    [`subprocess::SubprocessExecutor`]) and a [`schedule::Scheduler`]
+//!    [`socket::SocketExecutor`]) and a [`schedule::Scheduler`]
 //!    ([`schedule::PlanOrder`] or longest-first [`schedule::CostOrdered`]).
 //!    Work-unit seeds and germ draws are fixed at plan time from a master
 //!    seed, so results are **bit-identical regardless of executor, worker
@@ -47,7 +47,7 @@
 //! use rough_core::RoughnessSpec;
 //! use rough_em::material::Stackup;
 //! use rough_em::units::{GigaHertz, Micrometers};
-//! use rough_engine::{Engine, Scenario};
+//! use rough_engine::{Run, RunConfig, Scenario, ThreadPoolExecutor};
 //!
 //! # fn main() -> Result<(), rough_engine::EngineError> {
 //! let scenario = Scenario::builder(Stackup::paper_baseline())
@@ -58,8 +58,8 @@
 //!     .monte_carlo(4)
 //!     .master_seed(2009)
 //!     .build()?;
-//! let engine = Engine::builder().threads(2).build();
-//! let report = engine.run(&scenario)?;
+//! let config = RunConfig::new().executor(ThreadPoolExecutor::new(2));
+//! let report = Run::new(&scenario, config)?.execute()?;
 //! assert_eq!(report.cases.len(), 1);
 //! assert!(report.cases[0].mean > 0.9);
 //! # Ok(())
@@ -84,7 +84,6 @@ pub mod run;
 pub mod scenario;
 pub mod schedule;
 pub mod socket;
-pub mod subprocess;
 pub mod sweep;
 pub mod wire;
 
@@ -92,8 +91,7 @@ pub use cache::{CacheStats, KernelCache};
 pub use error::EngineError;
 pub use events::{ChannelObserver, FnObserver, RunEvent, RunObserver};
 pub use executor::{
-    core_budget, executor_from_env, executor_from_env_budgeted, parse_executor_spec,
-    parse_executor_spec_budgeted, shared_budget_assembly, Engine, EngineBuilder, SerialExecutor,
+    assembly_share, core_budget, executor_from_env, parse_executor_spec, SerialExecutor,
     ThreadPoolExecutor, UnitExecutor, EXECUTOR_ENV,
 };
 pub use plan::Plan;
@@ -103,8 +101,7 @@ pub use run::{report_from_records, CancelToken, Run, RunConfig, UnitSink};
 pub use scenario::{CaseId, EnsembleMode, Scenario, ScenarioBuilder};
 pub use schedule::{unit_class, CostOrdered, CostTable, PlanOrder, Scheduler};
 pub use socket::{
-    SocketExecutor, Transport, SOCKET_WORKER_ENV, WORKER_RECONNECT_ATTEMPTS_ENV,
-    WORKER_RECONNECT_CAP_MS_ENV, WORKER_RESPAWN_CAP_ENV,
+    maybe_serve_worker, SocketExecutor, Transport, SOCKET_WORKER_ENV,
+    WORKER_RECONNECT_ATTEMPTS_ENV, WORKER_RECONNECT_CAP_MS_ENV, WORKER_RESPAWN_CAP_ENV,
 };
-pub use subprocess::{maybe_serve_worker, SubprocessExecutor};
 pub use sweep::{SweepScenario, SweepScenarioBuilder};

@@ -64,9 +64,9 @@ const SURROGATE_STREAM_OFFSET: u64 = 1 << 32;
 /// observer and kernel cache.
 ///
 /// The default is a hardware-sized [`ThreadPoolExecutor`], [`PlanOrder`]
-/// scheduling, no checkpoint, no observer and a fresh private cache. Use
-/// [`crate::Engine::run_config`] instead of [`RunConfig::new`] to share an
-/// engine's persistent cache.
+/// scheduling, no checkpoint, no observer and a fresh private cache. Pass
+/// one `Arc<KernelCache>` to [`RunConfig::cache`] of several runs to share
+/// their cached kernels.
 pub struct RunConfig {
     pub(crate) executor: Arc<dyn UnitExecutor>,
     pub(crate) scheduler: Arc<dyn Scheduler>,
@@ -112,7 +112,7 @@ impl RunConfig {
         self.executor_arc(Arc::new(executor))
     }
 
-    /// Selects an already shared executor (e.g. an engine's thread pool).
+    /// Selects an already shared executor (e.g. one pool reused across runs).
     pub fn executor_arc(mut self, executor: Arc<dyn UnitExecutor>) -> Self {
         self.executor = executor;
         self
@@ -307,19 +307,6 @@ impl UnitSink<'_> {
             });
         }
         Ok(())
-    }
-
-    /// Commits a record with no wall time at all — the legacy path for
-    /// remote records whose worker did not measure its solve. Prefer
-    /// [`UnitSink::complete_timed`]; this remains for protocol
-    /// backwards-compatibility (a v1 stdio worker line without the wall
-    /// token).
-    pub fn complete_untimed(&self, record: UnitRecord) -> Result<(), EngineError> {
-        self.started_at
-            .lock()
-            .expect("unit timer lock poisoned")
-            .remove(&record.unit);
-        self.commit(record, None)
     }
 
     fn emit(&self, event: &RunEvent) {

@@ -5,7 +5,7 @@
 //! says nothing about threads, caches or execution order. The cross product
 //! `roughness × frequency` is the scenario's **case grid**; expanding a case
 //! into concrete work units is the job of [`crate::plan::Plan`], and running
-//! them is the job of [`crate::executor::Engine`].
+//! them is the job of [`crate::run::Run`].
 
 use crate::error::EngineError;
 use rough_core::{AssemblyScheme, OperatorRepr, RoughnessSpec, SolverKind};
@@ -337,12 +337,6 @@ impl ScenarioBuilder {
                 return Err(EngineError::InvalidScenario(
                     "the matrix-free operator requires a Krylov solver (bicgstab or gmres), \
                      not DirectLu"
-                        .into(),
-                ));
-            }
-            if matches!(self.assembly, AssemblyScheme::Legacy) {
-                return Err(EngineError::InvalidScenario(
-                    "the matrix-free operator requires the locally corrected assembly scheme"
                         .into(),
                 ));
             }

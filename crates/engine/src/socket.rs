@@ -1,9 +1,7 @@
 //! Distributed execution over sockets: persistent warm workers.
 //!
-//! [`SocketExecutor`] is the distributed successor of
-//! [`crate::subprocess::SubprocessExecutor`]. Instead of piping one shard to a
-//! short-lived process per run, it keeps a fleet of **long-lived worker
-//! processes** connected over TCP or Unix-domain sockets, speaking the
+//! [`SocketExecutor`] keeps a fleet of **long-lived worker processes**
+//! connected over TCP or Unix-domain sockets, speaking the
 //! length-prefixed framing of [`crate::frame`] around the bit-exact
 //! [`crate::wire`] scenario encoding. The design goals, in order:
 //!
@@ -11,10 +9,9 @@
 //!    [`KernelCache`] that survives across runs: re-running a campaign (or
 //!    running the next shard of the same scenario fingerprint) hits the
 //!    worker's cached Ewald kernels, flat-reference solves and KL bases
-//!    instead of rebuilding them — the flaw that kept warm subprocess runs
-//!    from ever beating the thread pool. Worker cache activity is credited
-//!    back into the dispatcher's cache counters ([`KernelCache::credit_external`])
-//!    so reports carry real hit rates.
+//!    instead of rebuilding them on every run. Worker cache activity is
+//!    credited back into the dispatcher's cache counters
+//!    ([`KernelCache::credit_external`]) so reports carry real hit rates.
 //! 2. **Fault tolerance without changing a single bit.** Units are dispatched
 //!    in small case-contiguous batches; workers heartbeat while computing; a
 //!    dead or silent worker's in-flight units are re-queued to survivors and a
@@ -24,15 +21,33 @@
 //!    and ship it inside the result frame, so remote units populate
 //!    [`crate::CampaignReport::unit_times`] like local ones.
 //!
-//! Binaries opt in through the same entry point as the stdio protocol —
-//! [`crate::subprocess::maybe_serve_worker`] checks [`SOCKET_WORKER_ENV`]
-//! too, so existing drivers and test worker entries serve both protocols.
+//! Binaries opt in by calling [`maybe_serve_worker`] first thing in `main`
+//! (it checks [`SOCKET_WORKER_ENV`] and is a no-op otherwise):
+//!
+//! ```no_run
+//! // first statement of the driver's `main`:
+//! rough_engine::maybe_serve_worker();
+//! // ... normal driver logic ...
+//! ```
+//!
+//! Integration tests opt in with a dedicated `#[test]` entry (a no-op pass
+//! unless the worker variable is set) and point the executor at it:
+//!
+//! ```ignore
+//! #[test]
+//! fn worker_entry() {
+//!     rough_engine::maybe_serve_worker();
+//! }
+//! // parent side:
+//! let executor = SocketExecutor::new(2)
+//!     .with_args(["worker_entry", "--exact", "--nocapture"]);
+//! ```
 //!
 //! [`RunEvent::WorkerLost`]: crate::events::RunEvent::WorkerLost
 
 use crate::cache::{CacheStats, KernelCache};
 use crate::error::EngineError;
-use crate::executor::{core_budget, evaluate_unit, UnitExecutor};
+use crate::executor::{assembly_share, core_budget, evaluate_unit, UnitExecutor};
 use crate::frame::{kind, read_frame, write_frame, Frame, PayloadWriter};
 use crate::plan::Plan;
 use crate::report::UnitRecord;
@@ -453,15 +468,12 @@ impl SocketExecutor {
             None => std::env::current_exe()
                 .map_err(|e| socket_error(format!("cannot locate current executable: {e}")))?,
         };
-        // Same budget split as the other multi-worker executors: each worker
-        // gets its fair share of the core budget as intra-solve assembly
-        // threads, unless the parent environment pins an explicit value.
-        let assembly_share =
-            (self.core_budget.unwrap_or_else(core_budget) / self.workers.max(1)).max(1);
+        // Same budget split as the in-process executors: each worker gets
+        // its fair share of the core budget as intra-solve assembly threads
+        // (or the parent's explicit override).
+        let share = assembly_share(self.core_budget.unwrap_or_else(core_budget), self.workers);
         let mut command = Command::new(&program);
-        if std::env::var_os(ASSEMBLY_THREADS_ENV).is_none() {
-            command.env(ASSEMBLY_THREADS_ENV, assembly_share.to_string());
-        }
+        command.env(ASSEMBLY_THREADS_ENV, share.worker_count().to_string());
         if let Some((attempts, cap_ms)) = self.reconnect {
             command.env(WORKER_RECONNECT_ATTEMPTS_ENV, attempts.to_string());
             command.env(WORKER_RECONNECT_CAP_MS_ENV, cap_ms.to_string());
@@ -589,9 +601,8 @@ impl Drop for SocketExecutor {
 /// Splits the scheduled order into case-contiguous dispatch batches.
 ///
 /// Batches never straddle a case boundary, so a worker's shard confines each
-/// context build to as few workers as possible (the same locality argument as
-/// the stdio executor's contiguous shards) — and they are small enough that a
-/// lost worker forfeits little work and survivors rebalance naturally.
+/// context build to as few workers as possible — and they are small enough
+/// that a lost worker forfeits little work and survivors rebalance naturally.
 fn dispatch_batches(plan: &Plan, order: &[usize], workers: usize) -> VecDeque<Vec<usize>> {
     let batch_size = (order.len() / (workers.max(1) * 4)).clamp(1, 16);
     let mut batches = VecDeque::new();
@@ -856,10 +867,9 @@ fn drive_worker(
 // ---------------------------------------------------------------------------
 
 /// Serves the socket-worker protocol and exits the process — **when**
-/// [`SOCKET_WORKER_ENV`] is set; a no-op otherwise. Callers normally reach
-/// this through [`crate::subprocess::maybe_serve_worker`], which multiplexes
-/// both worker protocols.
-pub fn maybe_serve_socket_worker() {
+/// [`SOCKET_WORKER_ENV`] is set; a no-op otherwise. Call it first thing in
+/// every binary that may host a [`SocketExecutor`].
+pub fn maybe_serve_worker() {
     let Ok(spec) = std::env::var(SOCKET_WORKER_ENV) else {
         return;
     };

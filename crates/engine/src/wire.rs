@@ -1,8 +1,8 @@
 //! Bit-exact scenario serialization for worker processes and checkpoints.
 //!
-//! The [`crate::subprocess::SubprocessExecutor`] ships the scenario to worker
-//! processes over stdin, and checkpoints embed it so [`crate::run::Run::resume`]
-//! can rebuild the plan from the file alone. Both consumers need the decoded
+//! The [`crate::socket::SocketExecutor`] ships the scenario to its worker
+//! processes, and checkpoints embed it so [`crate::run::Run::resume`] can
+//! rebuild the plan from the file alone. Both consumers need the decoded
 //! scenario to re-plan *bit-identically* — the same germ draws, the same KL
 //! truncation, the same context keys — so every float is encoded as the hex of
 //! its IEEE-754 bit pattern, never as decimal text.
@@ -114,19 +114,13 @@ pub fn encode_scenario(scenario: &Scenario) -> String {
             let _ = writeln!(out, "solver gmres {} {restart}", bits(tolerance));
         }
     }
-    match scenario.assembly {
-        AssemblyScheme::Legacy => {
-            let _ = writeln!(out, "assembly legacy");
-        }
-        AssemblyScheme::LocallyCorrected(policy) => {
-            let _ = writeln!(
-                out,
-                "assembly corrected {} {}",
-                bits(policy.radius),
-                policy.order
-            );
-        }
-    }
+    let AssemblyScheme::LocallyCorrected(policy) = scenario.assembly;
+    let _ = writeln!(
+        out,
+        "assembly corrected {} {}",
+        bits(policy.radius),
+        policy.order
+    );
     match scenario.operator_repr {
         // Dense is the default and is omitted, so blocks written before the
         // operator representation existed decode unchanged.
@@ -265,7 +259,6 @@ pub fn decode_scenario(text: &str) -> Result<Scenario, EngineError> {
             }
             "assembly" => {
                 assembly = Some(match arg(0)? {
-                    "legacy" => AssemblyScheme::Legacy,
                     "corrected" => AssemblyScheme::LocallyCorrected(NearFieldPolicy {
                         radius: parse_bits(arg(1)?)?,
                         order: parse_usize(arg(2)?)?,
@@ -439,7 +432,9 @@ mod tests {
                 tolerance: 1e-9,
                 restart: 30,
             })
-            .assembly(AssemblyScheme::Legacy)
+            .assembly(AssemblyScheme::LocallyCorrected(NearFieldPolicy::new(
+                3.0, 6,
+            )))
             .deterministic(surface)
             .build()
             .unwrap();
@@ -509,5 +504,28 @@ mod tests {
         assert!(decode_scenario(MAGIC).is_err()); // no `end`
         let truncated = format!("{MAGIC}\nname x\nend\n");
         assert!(decode_scenario(&truncated).is_err()); // missing fields
+
+        // An unknown assembly token (here the removed seed scheme's) is an
+        // error, not a panic.
+        let valid = encode_scenario(
+            &Scenario::builder(Stackup::paper_baseline())
+                .roughness(RoughnessSpec::gaussian(
+                    Micrometers::new(1.0),
+                    Micrometers::new(1.0),
+                ))
+                .frequencies([GigaHertz::new(5.0).into()])
+                .monte_carlo(2)
+                .build()
+                .unwrap(),
+        );
+        let assembly_line = valid
+            .lines()
+            .find(|line| line.starts_with("assembly "))
+            .expect("the assembly is always on the wire");
+        let legacy = valid.replace(assembly_line, "assembly legacy");
+        match decode_scenario(&legacy) {
+            Err(error) => assert!(error.to_string().contains("unknown assembly `legacy`")),
+            Ok(_) => panic!("the `assembly legacy` token must be rejected"),
+        }
     }
 }

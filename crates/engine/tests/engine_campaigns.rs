@@ -1,11 +1,37 @@
 //! Integration tests of the batch engine: thread-count invariance of the
 //! statistics, kernel-cache effectiveness, and plan/solve budgets.
 
-use rough_core::{AssemblyScheme, RoughnessSpec};
+use rough_core::{AssemblyScheme, NearFieldPolicy, RoughnessSpec};
 use rough_em::material::Stackup;
 use rough_em::units::{GigaHertz, Micrometers};
-use rough_engine::{CaseOutcome, Engine, Scenario};
+use rough_engine::{
+    CampaignReport, CaseOutcome, KernelCache, Run, RunConfig, Scenario, ThreadPoolExecutor,
+    UnitExecutor,
+};
 use rough_stochastic::sparse_grid::SparseGrid;
+use std::sync::Arc;
+
+/// A thread pool plus a kernel cache that persists across the campaigns run
+/// on it, so later campaigns hit the contexts earlier ones built.
+fn shared(threads: usize) -> (Arc<dyn UnitExecutor>, Arc<KernelCache>) {
+    (
+        Arc::new(ThreadPoolExecutor::new(threads)),
+        Arc::new(KernelCache::new()),
+    )
+}
+
+fn run_on(
+    (executor, cache): &(Arc<dyn UnitExecutor>, Arc<KernelCache>),
+    scenario: &Scenario,
+) -> CampaignReport {
+    let config = RunConfig::new()
+        .executor_arc(Arc::clone(executor))
+        .cache(Arc::clone(cache));
+    Run::new(scenario, config)
+        .expect("plan")
+        .execute()
+        .expect("campaign")
+}
 
 fn monte_carlo_scenario(realizations: usize, master_seed: u64) -> Scenario {
     Scenario::builder(Stackup::paper_baseline())
@@ -30,8 +56,7 @@ fn statistics_are_bit_identical_across_thread_counts() {
     let scenario = monte_carlo_scenario(12, 0xD5EED);
     let mut outputs: Vec<(f64, f64, Vec<f64>)> = Vec::new();
     for threads in [1usize, 2, 8] {
-        let engine = Engine::builder().threads(threads).build();
-        let report = engine.run(&scenario).expect("campaign");
+        let report = run_on(&shared(threads), &scenario);
         assert_eq!(report.threads, threads);
         let values: Vec<f64> = report.records.iter().map(|r| r.value).collect();
         outputs.push((report.cases[0].mean, report.cases[0].std_dev, values));
@@ -46,9 +71,9 @@ fn statistics_are_bit_identical_across_thread_counts() {
 
 #[test]
 fn master_seed_changes_the_ensemble() {
-    let engine = Engine::builder().threads(2).build();
-    let a = engine.run(&monte_carlo_scenario(6, 1)).expect("campaign");
-    let b = engine.run(&monte_carlo_scenario(6, 2)).expect("campaign");
+    let engine = shared(2);
+    let a = run_on(&engine, &monte_carlo_scenario(6, 1));
+    let b = run_on(&engine, &monte_carlo_scenario(6, 2));
     assert_ne!(a.cases[0].mean.to_bits(), b.cases[0].mean.to_bits());
 }
 
@@ -58,8 +83,8 @@ fn kernel_cache_hits_on_multi_realization_single_frequency_plans() {
     // after the prepared context must hit the cache.
     let realizations = 9;
     let scenario = monte_carlo_scenario(realizations, 7);
-    let engine = Engine::builder().threads(2).build();
-    let report = engine.run(&scenario).expect("campaign");
+    let engine = shared(2);
+    let report = run_on(&engine, &scenario);
     assert_eq!(report.distinct_contexts, 1);
     assert_eq!(report.cache.misses, 1, "exactly one context build");
     assert!(
@@ -69,7 +94,7 @@ fn kernel_cache_hits_on_multi_realization_single_frequency_plans() {
     );
 
     // A second run of the same scenario is served entirely from the cache.
-    let again = engine.run(&scenario).expect("campaign");
+    let again = run_on(&engine, &scenario);
     assert_eq!(again.cache.misses, 0);
     assert_eq!(
         again.cases[0].mean.to_bits(),
@@ -98,16 +123,15 @@ fn different_stackups_never_share_cached_contexts() {
             .build()
             .expect("valid scenario")
     };
-    let engine = Engine::builder().threads(1).build();
-    let copper = engine
-        .run(&scenario_for(Stackup::paper_baseline()))
-        .expect("copper campaign");
-    let annealed = engine
-        .run(&scenario_for(Stackup::new(
+    let engine = shared(1);
+    let copper = run_on(&engine, &scenario_for(Stackup::paper_baseline()));
+    let annealed = run_on(
+        &engine,
+        &scenario_for(Stackup::new(
             Conductor::annealed_copper(),
             Dielectric::silicon_dioxide(),
-        )))
-        .expect("annealed campaign");
+        )),
+    );
     assert_eq!(
         annealed.cache.misses, 1,
         "a different stack must build its own context"
@@ -123,10 +147,10 @@ fn different_stackups_never_share_cached_contexts() {
 }
 
 #[test]
-fn legacy_and_corrected_assemblies_never_share_cached_contexts() {
-    // Same stack, grid and frequency, different near-field assembly scheme:
-    // the cached flat-reference solve bakes the assembly in, so sharing a
-    // context across schemes would silently corrupt one of the campaigns.
+fn different_near_field_policies_never_share_cached_contexts() {
+    // Same stack, grid and frequency, different near-field policy: the
+    // cached flat-reference solve bakes the assembly in, so sharing a context
+    // across policies would silently corrupt one of the campaigns.
     let scenario_for = |assembly: AssemblyScheme| {
         Scenario::builder(Stackup::paper_baseline())
             .roughness(RoughnessSpec::gaussian(
@@ -142,33 +166,28 @@ fn legacy_and_corrected_assemblies_never_share_cached_contexts() {
             .build()
             .expect("valid scenario")
     };
-    let engine = Engine::builder().threads(1).build();
-    let corrected = engine
-        .run(&scenario_for(AssemblyScheme::default()))
-        .expect("corrected campaign");
-    let legacy = engine
-        .run(&scenario_for(AssemblyScheme::Legacy))
-        .expect("legacy campaign");
+    let engine = shared(1);
+    let default = run_on(&engine, &scenario_for(AssemblyScheme::default()));
+    let wide = AssemblyScheme::LocallyCorrected(NearFieldPolicy::new(3.5, 4));
+    let widened = run_on(&engine, &scenario_for(wide));
     assert_eq!(
-        legacy.cache.misses, 1,
-        "a different assembly scheme must build its own context"
+        widened.cache.misses, 1,
+        "a different near-field policy must build its own context"
     );
     assert_ne!(
-        corrected.cases[0].mean.to_bits(),
-        legacy.cases[0].mean.to_bits(),
-        "the two schemes integrate near fields differently"
+        default.cases[0].mean.to_bits(),
+        widened.cases[0].mean.to_bits(),
+        "the two policies integrate near fields differently"
     );
-    // The KL basis does not depend on the assembly scheme and is reused.
-    assert_eq!(legacy.cache.kl_misses, 0);
-    assert!(legacy.cache.kl_hits >= 1);
+    // The KL basis does not depend on the assembly and is reused.
+    assert_eq!(widened.cache.kl_misses, 0);
+    assert!(widened.cache.kl_hits >= 1);
     // Re-running either scenario hits its own cached context.
-    let again = engine
-        .run(&scenario_for(AssemblyScheme::default()))
-        .expect("corrected rerun");
+    let again = run_on(&engine, &scenario_for(AssemblyScheme::default()));
     assert_eq!(again.cache.misses, 0);
     assert_eq!(
         again.cases[0].mean.to_bits(),
-        corrected.cases[0].mean.to_bits()
+        default.cases[0].mean.to_bits()
     );
 }
 
@@ -221,13 +240,9 @@ fn sscm_campaign_agrees_with_monte_carlo_on_the_mean() {
             .max_kl_modes(4)
             .master_seed(99)
     };
-    let engine = Engine::builder().threads(2).build();
-    let mc = engine
-        .run(&base("mc").monte_carlo(40).build().expect("valid"))
-        .expect("MC campaign");
-    let sscm = engine
-        .run(&base("sscm").sscm(2).build().expect("valid"))
-        .expect("SSCM campaign");
+    let engine = shared(2);
+    let mc = run_on(&engine, &base("mc").monte_carlo(40).build().expect("valid"));
+    let sscm = run_on(&engine, &base("sscm").sscm(2).build().expect("valid"));
     let (mc_case, sscm_case) = (&mc.cases[0], &sscm.cases[0]);
     assert!(
         (mc_case.mean - sscm_case.mean).abs() < 0.1,

@@ -6,7 +6,7 @@
 //! [`DaemonConfig::max_concurrent_jobs`] campaigns at a time (default 1, env
 //! [`JOBS_ENV`]). Campaigns are internally parallel, so each runner owns its
 //! *own* executor sized from an even split of the machine's core budget
-//! ([`rough_engine::executor_from_env_budgeted`]): J concurrent jobs never
+//! ([`rough_engine::executor_from_env`]): J concurrent jobs never
 //! oversubscribe the cores a single job would have used. Dispatch order
 //! comes from the queue's priority/aging score ([`crate::queue::Priority`]),
 //! so high-priority submissions preempt the backlog while aged batch jobs
@@ -96,7 +96,7 @@ impl DaemonConfig {
     /// a socket worker pool, say — give each runner its own instance via
     /// [`DaemonConfig::executors`]. The default builds one budgeted executor
     /// per runner from the `ROUGHSIM_EXECUTOR` environment variable
-    /// ([`rough_engine::executor_from_env_budgeted`]).
+    /// ([`rough_engine::executor_from_env`]).
     pub fn executor(mut self, executor: Arc<dyn UnitExecutor>) -> Self {
         self.executor = Some(executor);
         self
@@ -205,7 +205,7 @@ impl Daemon {
             _ => {
                 let budget = (rough_engine::core_budget() / jobs).max(1);
                 (0..jobs)
-                    .map(|_| rough_engine::executor_from_env_budgeted(budget))
+                    .map(|_| rough_engine::executor_from_env(budget))
                     .collect::<Result<_, _>>()?
             }
         };

@@ -817,7 +817,7 @@ fn old_wire_clients_interoperate_with_the_new_daemon() {
 /// `service_worker_entry --exact` as persistent worker processes.
 #[test]
 fn service_worker_entry() {
-    rough_engine::subprocess::maybe_serve_worker();
+    rough_engine::maybe_serve_worker();
 }
 
 fn socket_executor(workers: usize) -> rough_engine::SocketExecutor {

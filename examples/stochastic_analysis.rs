@@ -2,8 +2,9 @@
 //! factor of a random surface (a miniature of paper Fig. 7 / Table I), driven
 //! through the `rough-engine` batch scheduler.
 //!
-//! The three ensembles are declarative scenarios executed on one engine: the
-//! Ewald kernels, the KL basis and the flat-reference solve are built once,
+//! The three ensembles are declarative scenarios executed on one thread pool
+//! and one shared kernel cache: the Ewald kernels, the KL basis and the
+//! flat-reference solve are built once,
 //! cached, and shared by every realization and collocation node; the work
 //! units run in parallel with bit-identical statistics for the fixed master
 //! seed regardless of thread count.
@@ -16,8 +17,9 @@
 //!
 //! Run with `cargo run --release --example stochastic_analysis`.
 
-use roughsim::engine::CaseOutcome;
+use roughsim::engine::{CaseOutcome, KernelCache, UnitExecutor};
 use roughsim::prelude::*;
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stack = Stackup::new(Conductor::copper_foil(), Dielectric::silicon_dioxide());
@@ -34,15 +36,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .energy_fraction(0.9)
             .master_seed(5)
     };
-    let engine = Engine::new();
+    // One executor and one kernel cache shared by every campaign below.
+    let executor: Arc<dyn UnitExecutor> = Arc::new(ThreadPoolExecutor::default());
+    let cache = Arc::new(KernelCache::new());
+    let shared = || {
+        RunConfig::new()
+            .executor_arc(Arc::clone(&executor))
+            .cache(Arc::clone(&cache))
+    };
 
-    // Monte-Carlo through the session API: streamed events + JSONL checkpoint
-    // (engine.run_config() shares the engine's persistent kernel cache).
+    // Monte-Carlo through the session API: streamed events + JSONL checkpoint.
     let checkpoint = std::env::temp_dir().join("roughsim_stochastic_analysis.jsonl");
-    let (config, events) = engine
-        .run_config()
-        .checkpoint(&checkpoint)
-        .observer_channel();
+    let (config, events) = shared().checkpoint(&checkpoint).observer_channel();
     let mc = Run::new(&base("mc").monte_carlo(24).build()?, config)?.execute()?;
     let completed_events = events
         .try_iter()
@@ -55,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Resuming a finished checkpoint re-runs nothing and rebuilds the same
     // report bit for bit — the same path an interrupted campaign takes.
-    let resumed = Run::resume(&checkpoint, engine.run_config())?;
+    let resumed = Run::resume(&checkpoint, shared())?;
     assert_eq!(resumed.remaining_units(), 0);
     let replayed = resumed.execute()?;
     assert_eq!(
@@ -66,8 +71,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("checkpoint resume rebuilt the report bit-identically (0 units re-run)");
     std::fs::remove_file(&checkpoint).ok();
 
-    let sscm1 = engine.run(&base("sscm1").sscm(1).build()?)?;
-    let sscm2 = engine.run(&base("sscm2").sscm(2).build()?)?;
+    let sscm1 = Run::new(&base("sscm1").sscm(1).build()?, shared())?.execute()?;
+    let sscm2 = Run::new(&base("sscm2").sscm(2).build()?, shared())?.execute()?;
 
     println!(
         "KL expansion: {} modes (engine deduplicated {} shared context(s))",

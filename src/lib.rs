@@ -26,7 +26,7 @@
 //!   [`Scenario`](engine::Scenario)s (stackup × roughness grid × frequency
 //!   sweep × ensemble) planned into deduplicated work units and executed
 //!   through the session-oriented [`Run`](engine::Run) API — pluggable
-//!   executors (serial / thread pool / worker subprocesses), plan-order or
+//!   executors (serial / thread pool / socket worker processes), plan-order or
 //!   cost-ordered scheduling, streamed [`RunEvent`](engine::RunEvent)s, and
 //!   JSONL unit checkpoints that resume bit-identically.
 //! * [`sweep`] — broadband frequency sweeps on top of the engine: adaptive
@@ -72,37 +72,32 @@ pub use rough_sweep as sweep;
 
 /// Commonly used items, re-exported for convenient glob import.
 ///
-/// # Engine entry points
+/// # Engine entry point
 ///
-/// Two levels of engine API are exported:
-///
-/// * [`Engine`](rough_engine::Engine) — the one-call facade:
-///   `Engine::new().run(&scenario)` plans and executes on a hardware-sized
-///   thread pool with a persistent kernel cache.
-/// * [`Run`](rough_engine::Run) + [`RunConfig`](rough_engine::RunConfig) —
-///   the session-oriented service API. A `RunConfig` picks the executor
-///   ([`SerialExecutor`](rough_engine::SerialExecutor),
-///   [`ThreadPoolExecutor`](rough_engine::ThreadPoolExecutor), the
-///   multi-process [`SubprocessExecutor`](rough_engine::SubprocessExecutor),
-///   or [`SocketExecutor`](rough_engine::SocketExecutor) — persistent
-///   distributed workers with warm per-worker kernel caches and bit-identical
-///   re-dispatch when a worker dies), the schedule
-///   ([`PlanOrder`](rough_engine::PlanOrder) or longest-first
-///   [`CostOrdered`](rough_engine::CostOrdered), optionally calibrated with a
-///   measured [`CostTable`](rough_engine::CostTable)), an optional JSONL
-///   checkpoint path, and an observer that receives typed
-///   [`RunEvent`](rough_engine::RunEvent)s (`UnitStarted`, `UnitCompleted`
-///   with worker-measured wall time, `CaseCompleted`, `WorkerLost`,
-///   `CheckpointWritten`, `RunFinished` with cache statistics) while the
-///   campaign executes.
-///   [`Run::resume`](rough_engine::Run::resume) continues an interrupted
-///   campaign from its checkpoint and — because all randomness is fixed at
-///   plan time — produces a report bit-identical to an uninterrupted run,
-///   under any executor or thread count.
+/// [`Run`](rough_engine::Run) + [`RunConfig`](rough_engine::RunConfig) is the
+/// one execution API: `Run::new(&scenario, RunConfig::new())?.execute()`
+/// plans and executes on a hardware-sized thread pool with a fresh kernel
+/// cache. A `RunConfig` picks the executor
+/// ([`SerialExecutor`](rough_engine::SerialExecutor),
+/// [`ThreadPoolExecutor`](rough_engine::ThreadPoolExecutor), or
+/// [`SocketExecutor`](rough_engine::SocketExecutor) — persistent distributed
+/// workers with warm per-worker kernel caches and bit-identical re-dispatch
+/// when a worker dies), a kernel cache to share across runs, the schedule
+/// ([`PlanOrder`](rough_engine::PlanOrder) or longest-first
+/// [`CostOrdered`](rough_engine::CostOrdered), optionally calibrated with a
+/// measured [`CostTable`](rough_engine::CostTable)), an optional JSONL
+/// checkpoint path, and an observer that receives typed
+/// [`RunEvent`](rough_engine::RunEvent)s (`UnitStarted`, `UnitCompleted` with
+/// worker-measured wall time, `CaseCompleted`, `WorkerLost`,
+/// `CheckpointWritten`, `RunFinished` with cache statistics) while the
+/// campaign executes. [`Run::resume`](rough_engine::Run::resume) continues an
+/// interrupted campaign from its checkpoint and — because all randomness is
+/// fixed at plan time — produces a report bit-identical to an uninterrupted
+/// run, under any executor or thread count.
 ///
 /// Binaries that want multi-process execution must call
-/// [`maybe_serve_worker`](rough_engine::subprocess::maybe_serve_worker)
-/// first thing in `main`.
+/// [`maybe_serve_worker`](rough_engine::maybe_serve_worker) first thing in
+/// `main`.
 ///
 /// Above both sits the campaign service ([`rough_service`]): the `roughsimd`
 /// daemon queues scenario submissions durably, streams run events to
@@ -120,10 +115,9 @@ pub use rough_sweep as sweep;
 /// the `1/R` (3D) / `ln R` (2D) static singularity is integrated analytically
 /// over the exact tangent-plane cell geometry and the smooth remainder with
 /// adaptive Gauss–Legendre quadrature, for every source cell within
-/// `radius` cell sizes (minimum-image distance). Select
-/// `AssemblyScheme::Legacy` via the respective `assembly(..)` builder methods
-/// to reproduce the seed behaviour, e.g. for convergence comparisons; raise
-/// `radius`/`order` for high-accuracy reference runs.
+/// `radius` cell sizes (minimum-image distance). Raise `radius`/`order` via
+/// the respective `assembly(..)` builder methods for high-accuracy reference
+/// runs.
 ///
 /// Orthogonally, [`KernelEval`](rough_core::KernelEval) selects how the
 /// Ewald-summed periodic kernel is evaluated: the default
@@ -148,8 +142,8 @@ pub mod prelude {
     };
     pub use rough_engine::SweepScenario;
     pub use rough_engine::{
-        CancelToken, CostOrdered, CostTable, Engine, PlanOrder, Run, RunConfig, RunEvent, Scenario,
-        SerialExecutor, SocketExecutor, SubprocessExecutor, ThreadPoolExecutor,
+        CancelToken, CostOrdered, CostTable, PlanOrder, Run, RunConfig, RunEvent, Scenario,
+        SerialExecutor, SocketExecutor, ThreadPoolExecutor,
     };
     pub use rough_numerics::complex::c64;
     pub use rough_service::{Client, Daemon, DaemonConfig, Priority};
