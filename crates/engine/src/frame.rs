@@ -99,16 +99,6 @@ pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> Result<(), EngineE
     header[2] = VERSION;
     header[3] = frame.kind;
     header[4..8].copy_from_slice(&(frame.payload.len() as u32).to_le_bytes());
-    // Fault point: emit the header and half the payload, then fail — the
-    // torn frame a peer sees when a connection dies mid-write.
-    if rough_faults::should_fire("frame.write.torn") {
-        writer
-            .write_all(&header)
-            .and_then(|()| writer.write_all(&frame.payload[..frame.payload.len() / 2]))
-            .and_then(|()| writer.flush())
-            .ok();
-        return Err(socket_error("injected torn frame write (fault plan)"));
-    }
     writer
         .write_all(&header)
         .and_then(|()| writer.write_all(&frame.payload))

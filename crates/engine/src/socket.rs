@@ -1,9 +1,9 @@
 //! Distributed execution over sockets: persistent warm workers.
 //!
 //! [`SocketExecutor`] keeps a fleet of **long-lived worker processes**
-//! connected over TCP or Unix-domain sockets, speaking the
-//! length-prefixed framing of [`crate::frame`] around the bit-exact
-//! [`crate::wire`] scenario encoding. The design goals, in order:
+//! connected over loopback TCP, speaking the length-prefixed framing of
+//! [`crate::frame`] around the bit-exact [`crate::wire`] scenario encoding.
+//! The design goals, in order:
 //!
 //! 1. **Warm caches where the work is.** Each worker owns a process-local
 //!    [`KernelCache`] that survives across runs: re-running a campaign (or
@@ -14,9 +14,15 @@
 //!    ([`KernelCache::credit_external`]) so reports carry real hit rates.
 //! 2. **Fault tolerance without changing a single bit.** Units are dispatched
 //!    in small case-contiguous batches; workers heartbeat while computing; a
-//!    dead or silent worker's in-flight units are re-queued to survivors and a
+//!    dead worker, a worker silent for 10 s, or one that sends a malformed
+//!    frame is lost: its in-flight units are re-queued to survivors and a
 //!    typed [`RunEvent::WorkerLost`] is streamed. Plan-time seeding makes the
 //!    final report bit-identical no matter which worker computed which unit.
+//!    Lost workers are respawned at the next run, at most 4 times beyond the
+//!    initial fleet; past that the circuit breaker opens and the executor
+//!    degrades to the survivors ([`RunEvent::FleetDegraded`]). A worker whose
+//!    connection drops redials up to 8 times, 25 ms doubling to 1.6 s apart,
+//!    before it exits.
 //! 3. **Honest timing.** Workers measure each solve's wall time themselves
 //!    and ship it inside the result frame, so remote units populate
 //!    [`crate::CampaignReport::unit_times`] like local ones.
@@ -44,6 +50,7 @@
 //! ```
 //!
 //! [`RunEvent::WorkerLost`]: crate::events::RunEvent::WorkerLost
+//! [`RunEvent::FleetDegraded`]: crate::events::RunEvent::FleetDegraded
 
 use crate::cache::{CacheStats, KernelCache};
 use crate::error::EngineError;
@@ -56,258 +63,79 @@ use crate::wire;
 use rough_core::{AssemblyParallelism, ASSEMBLY_THREADS_ENV};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
-use std::net::{TcpListener, TcpStream};
-#[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Environment variable that switches a spawned process into socket-worker
-/// mode; its value is the dispatcher's address spec (`tcp:host:port` or
-/// `unix:/path`).
+/// mode; its value is the dispatcher's TCP address (`host:port`).
 pub const SOCKET_WORKER_ENV: &str = "ROUGH_ENGINE_SOCKET_WORKER";
 
 /// Interval between worker heartbeats while a batch is being computed.
 const HEARTBEAT_PERIOD: Duration = Duration::from_millis(200);
 
-/// Default dispatcher-side silence tolerance before a worker is declared
-/// lost. Generous relative to [`HEARTBEAT_PERIOD`]; tests shrink it.
-const DEFAULT_HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(10);
+/// Dispatcher-side silence tolerance before a computing worker is declared
+/// lost. Generous relative to [`HEARTBEAT_PERIOD`].
+const HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// How long the dispatcher waits for freshly spawned workers to connect.
 const ACCEPT_DEADLINE: Duration = Duration::from_secs(20);
 
-/// Reconnect attempts a disconnected worker makes before giving up, when
-/// [`WORKER_RECONNECT_ATTEMPTS_ENV`] is unset.
-const MAX_RECONNECT_ATTEMPTS: u32 = 8;
+/// Replacement workers the dispatcher spawns beyond its initial fleet before
+/// the flapping-worker circuit breaker opens.
+const RESPAWN_CAP: usize = 4;
 
-/// Backoff cap of the worker dial loop (milliseconds), when
-/// [`WORKER_RECONNECT_CAP_MS_ENV`] is unset.
-const DEFAULT_RECONNECT_CAP_MS: u64 = 1_600;
+/// Redials a worker makes after a refused connect before it gives up.
+const DIAL_ATTEMPTS: u32 = 8;
 
-/// Respawns the dispatcher grants beyond the initial fleet before the
-/// flapping-worker circuit breaker opens, when [`WORKER_RESPAWN_CAP_ENV`] is
-/// unset.
-const DEFAULT_RESPAWN_CAP: u32 = 4;
-
-/// Environment variable overriding how many reconnect attempts a
-/// disconnected worker makes before exiting (default 8). The dispatcher sets
-/// it for spawned workers when [`SocketExecutor::with_reconnect`] is used;
-/// hand-launched workers read it directly.
-pub const WORKER_RECONNECT_ATTEMPTS_ENV: &str = "ROUGHSIM_WORKER_RECONNECT_ATTEMPTS";
-
-/// Environment variable capping one reconnect backoff pause in milliseconds
-/// (default 1600).
-pub const WORKER_RECONNECT_CAP_MS_ENV: &str = "ROUGHSIM_WORKER_RECONNECT_CAP_MS";
-
-/// Environment variable bounding how many replacement workers the dispatcher
-/// spawns beyond its initial fleet before it stops respawning a flapping
-/// worker and degrades to the survivors (default 4).
-pub const WORKER_RESPAWN_CAP_ENV: &str = "ROUGHSIM_WORKER_RESPAWN_CAP";
-
-/// The worker dial loop's retry budget and pacing: `(reconnect attempts,
-/// policy)`. Pure so tests can pin inputs; [`reconnect_config`] feeds it from
-/// the environment.
-fn reconnect_config_from(
-    attempts: Option<u32>,
-    cap_ms: Option<u64>,
-) -> (u32, crate::policy::RetryPolicy) {
-    let attempts = attempts.unwrap_or(MAX_RECONNECT_ATTEMPTS).max(1);
-    let policy = crate::policy::RetryPolicy {
-        max_attempts: attempts.saturating_add(1),
-        base_ms: 25,
-        cap_ms: cap_ms.unwrap_or(DEFAULT_RECONNECT_CAP_MS),
-        seed: 0,
-    };
-    (attempts, policy)
+/// The pause before redial number `attempt` (0-based): 25 ms doubling to a
+/// 1.6 s cap.
+fn dial_backoff(attempt: u32) -> Duration {
+    Duration::from_millis(25 << attempt.min(6))
 }
 
-fn reconnect_config() -> (u32, crate::policy::RetryPolicy) {
-    fn read<T: std::str::FromStr>(name: &str) -> Option<T> {
-        std::env::var(name).ok().and_then(|v| v.trim().parse().ok())
+/// Dials the dispatcher at `addr`, retrying a failed connect
+/// [`DIAL_ATTEMPTS`] times on the [`dial_backoff`] schedule.
+fn dial(addr: &str) -> io::Result<TcpStream> {
+    let mut attempt = 0;
+    loop {
+        match TcpStream::connect(addr) {
+            Ok(stream) => {
+                let _ = stream.set_nodelay(true);
+                return Ok(stream);
+            }
+            Err(e) if attempt >= DIAL_ATTEMPTS => return Err(e),
+            Err(_) => {
+                std::thread::sleep(dial_backoff(attempt));
+                attempt += 1;
+            }
+        }
     }
-    reconnect_config_from(
-        read(WORKER_RECONNECT_ATTEMPTS_ENV),
-        read(WORKER_RECONNECT_CAP_MS_ENV),
-    )
 }
 
 fn socket_error(reason: impl Into<String>) -> EngineError {
     EngineError::Socket(reason.into())
 }
 
-/// The transport a [`SocketExecutor`] binds and its workers dial.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Transport {
-    /// TCP on the given bind address (e.g. `127.0.0.1:0` for an ephemeral
-    /// loopback port — the default).
-    Tcp(String),
-    /// A Unix-domain socket at the given path (removed on bind and on drop).
-    #[cfg(unix)]
-    Unix(PathBuf),
+/// Binds the dispatcher's loopback listener on an ephemeral port, polled
+/// non-blockingly by the accept loop.
+fn bind_listener() -> Result<TcpListener, EngineError> {
+    let listener = TcpListener::bind("127.0.0.1:0")
+        .map_err(|e| socket_error(format!("cannot bind tcp listener: {e}")))?;
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| socket_error(format!("cannot configure listener: {e}")))?;
+    Ok(listener)
 }
 
-impl Default for Transport {
-    fn default() -> Self {
-        Transport::Tcp("127.0.0.1:0".to_string())
-    }
-}
-
-/// Either flavour of bound listener, polled non-blockingly.
-#[derive(Debug)]
-enum Listener {
-    Tcp(TcpListener),
-    #[cfg(unix)]
-    Unix(UnixListener, PathBuf),
-}
-
-impl Listener {
-    fn bind(transport: &Transport) -> Result<Self, EngineError> {
-        match transport {
-            Transport::Tcp(addr) => {
-                let listener = TcpListener::bind(addr)
-                    .map_err(|e| socket_error(format!("cannot bind tcp {addr}: {e}")))?;
-                listener
-                    .set_nonblocking(true)
-                    .map_err(|e| socket_error(format!("cannot configure listener: {e}")))?;
-                Ok(Listener::Tcp(listener))
-            }
-            #[cfg(unix)]
-            Transport::Unix(path) => {
-                // A stale socket file from a previous process blocks bind.
-                let _ = std::fs::remove_file(path);
-                let listener = UnixListener::bind(path).map_err(|e| {
-                    socket_error(format!("cannot bind unix {}: {e}", path.display()))
-                })?;
-                listener
-                    .set_nonblocking(true)
-                    .map_err(|e| socket_error(format!("cannot configure listener: {e}")))?;
-                Ok(Listener::Unix(listener, path.clone()))
-            }
-        }
-    }
-
-    /// The spec workers dial to reach this listener.
-    fn addr_spec(&self) -> Result<String, EngineError> {
-        match self {
-            Listener::Tcp(listener) => listener
-                .local_addr()
-                .map(|addr| format!("tcp:{addr}"))
-                .map_err(|e| socket_error(format!("cannot read listener address: {e}"))),
-            #[cfg(unix)]
-            Listener::Unix(_, path) => Ok(format!("unix:{}", path.display())),
-        }
-    }
-
-    fn accept(&self) -> io::Result<Conn> {
-        match self {
-            Listener::Tcp(listener) => listener.accept().map(|(stream, _)| {
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_nonblocking(false);
-                Conn::Tcp(stream)
-            }),
-            #[cfg(unix)]
-            Listener::Unix(listener, _) => listener.accept().map(|(stream, _)| {
-                let _ = stream.set_nonblocking(false);
-                Conn::Unix(stream)
-            }),
-        }
-    }
-}
-
-impl Drop for Listener {
-    fn drop(&mut self) {
-        #[cfg(unix)]
-        if let Listener::Unix(_, path) = self {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-/// Either flavour of connected stream.
-#[derive(Debug)]
-enum Conn {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Conn {
-    /// Dials an address spec (`tcp:host:port` / `unix:/path`).
-    fn connect(spec: &str) -> io::Result<Conn> {
-        if let Some(addr) = spec.strip_prefix("tcp:") {
-            let stream = TcpStream::connect(addr)?;
-            let _ = stream.set_nodelay(true);
-            return Ok(Conn::Tcp(stream));
-        }
-        #[cfg(unix)]
-        if let Some(path) = spec.strip_prefix("unix:") {
-            return UnixStream::connect(path).map(Conn::Unix);
-        }
-        Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("unsupported address spec `{spec}`"),
-        ))
-    }
-
-    fn try_clone(&self) -> io::Result<Conn> {
-        match self {
-            Conn::Tcp(stream) => stream.try_clone().map(Conn::Tcp),
-            #[cfg(unix)]
-            Conn::Unix(stream) => stream.try_clone().map(Conn::Unix),
-        }
-    }
-
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        match self {
-            Conn::Tcp(stream) => stream.set_read_timeout(timeout),
-            #[cfg(unix)]
-            Conn::Unix(stream) => stream.set_read_timeout(timeout),
-        }
-    }
-
-    fn shutdown(&self) {
-        match self {
-            Conn::Tcp(stream) => {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            }
-            #[cfg(unix)]
-            Conn::Unix(stream) => {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            }
-        }
-    }
-}
-
-impl io::Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(stream) => stream.read(buf),
-            #[cfg(unix)]
-            Conn::Unix(stream) => stream.read(buf),
-        }
-    }
-}
-
-impl io::Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(stream) => stream.write(buf),
-            #[cfg(unix)]
-            Conn::Unix(stream) => stream.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(stream) => stream.flush(),
-            #[cfg(unix)]
-            Conn::Unix(stream) => stream.flush(),
-        }
-    }
+/// Accepts one pending connection as a blocking, no-delay stream.
+fn accept(listener: &TcpListener) -> io::Result<TcpStream> {
+    let (stream, _) = listener.accept()?;
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_nonblocking(false);
+    Ok(stream)
 }
 
 /// One connected, ready worker as the dispatcher sees it.
@@ -315,17 +143,17 @@ impl io::Write for Conn {
 struct WorkerConn {
     /// Stable worker index (assigned at accept, reported in events).
     index: usize,
-    conn: Conn,
+    conn: TcpStream,
 }
 
 #[derive(Debug, Default)]
 struct SocketState {
-    listener: Option<Listener>,
+    listener: Option<TcpListener>,
     idle: Vec<WorkerConn>,
     children: Vec<Child>,
     next_index: usize,
     /// Worker processes ever spawned by this executor; the respawn circuit
-    /// breaker compares it against `workers + respawn_cap`.
+    /// breaker compares it against `workers + RESPAWN_CAP`.
     spawned_total: usize,
 }
 
@@ -335,13 +163,8 @@ struct SocketState {
 #[derive(Debug)]
 pub struct SocketExecutor {
     workers: usize,
-    transport: Transport,
-    program: Option<PathBuf>,
     args: Vec<String>,
-    heartbeat_timeout: Duration,
     core_budget: Option<usize>,
-    reconnect: Option<(u32, u64)>,
-    respawn_cap: Option<u32>,
     state: Mutex<SocketState>,
     run_counter: AtomicU64,
 }
@@ -361,13 +184,8 @@ impl SocketExecutor {
         };
         Self {
             workers,
-            transport: Transport::default(),
-            program: None,
             args: Vec::new(),
-            heartbeat_timeout: DEFAULT_HEARTBEAT_TIMEOUT,
             core_budget: None,
-            reconnect: None,
-            respawn_cap: None,
             state: Mutex::new(SocketState::default()),
             run_counter: AtomicU64::new(1),
         }
@@ -382,62 +200,11 @@ impl SocketExecutor {
         self
     }
 
-    /// Selects the transport (default: loopback TCP, ephemeral port).
-    pub fn with_transport(mut self, transport: Transport) -> Self {
-        self.transport = transport;
-        self
-    }
-
-    /// Overrides the spawned program (defaults to
-    /// [`std::env::current_exe`]).
-    pub fn with_program(mut self, program: impl Into<PathBuf>) -> Self {
-        self.program = Some(program.into());
-        self
-    }
-
     /// Sets extra arguments for the spawned program (e.g. a libtest filter
     /// pointing at a worker-entry `#[test]`).
     pub fn with_args(mut self, args: impl IntoIterator<Item = impl Into<String>>) -> Self {
         self.args = args.into_iter().map(Into::into).collect();
         self
-    }
-
-    /// Sets how long the dispatcher tolerates silence from a computing
-    /// worker before declaring it lost and re-queuing its units.
-    pub fn with_heartbeat_timeout(mut self, timeout: Duration) -> Self {
-        self.heartbeat_timeout = timeout;
-        self
-    }
-
-    /// Configures the dial loop of *spawned* workers: how many reconnect
-    /// attempts a disconnected worker makes before exiting, and the backoff
-    /// cap in milliseconds. Exported to the children through
-    /// [`WORKER_RECONNECT_ATTEMPTS_ENV`] / [`WORKER_RECONNECT_CAP_MS_ENV`]
-    /// (which hand-launched workers may also set directly).
-    pub fn with_reconnect(mut self, attempts: u32, cap_ms: u64) -> Self {
-        self.reconnect = Some((attempts.max(1), cap_ms));
-        self
-    }
-
-    /// Bounds how many replacement workers this executor spawns beyond its
-    /// initial fleet. A worker that keeps dying (bad node, poisoned
-    /// environment) would otherwise be respawned at every run; past the cap
-    /// the circuit breaker opens, the executor degrades to the surviving
-    /// workers, and [`crate::RunEvent::FleetDegraded`] is streamed. Overrides
-    /// [`WORKER_RESPAWN_CAP_ENV`].
-    pub fn with_respawn_cap(mut self, cap: u32) -> Self {
-        self.respawn_cap = Some(cap);
-        self
-    }
-
-    fn respawn_cap(&self) -> u32 {
-        self.respawn_cap
-            .or_else(|| {
-                std::env::var(WORKER_RESPAWN_CAP_ENV)
-                    .ok()
-                    .and_then(|v| v.trim().parse().ok())
-            })
-            .unwrap_or(DEFAULT_RESPAWN_CAP)
     }
 
     /// Fault-injection hook: kills one live worker *process* (the first one
@@ -456,31 +223,18 @@ impl SocketExecutor {
         false
     }
 
-    /// Workers currently connected and idle (primarily for tests and
-    /// diagnostics; workers mid-run are not counted).
-    pub fn connected_workers(&self) -> usize {
-        self.state.lock().expect("socket state poisoned").idle.len()
-    }
-
-    fn spawn_worker(&self, addr_spec: &str, ordinal: usize) -> Result<Child, EngineError> {
-        let program = match &self.program {
-            Some(program) => program.clone(),
-            None => std::env::current_exe()
-                .map_err(|e| socket_error(format!("cannot locate current executable: {e}")))?,
-        };
+    fn spawn_worker(&self, addr: &str, ordinal: usize) -> Result<Child, EngineError> {
+        let program = std::env::current_exe()
+            .map_err(|e| socket_error(format!("cannot locate current executable: {e}")))?;
         // Same budget split as the in-process executors: each worker gets
         // its fair share of the core budget as intra-solve assembly threads
         // (or the parent's explicit override).
         let share = assembly_share(self.core_budget.unwrap_or_else(core_budget), self.workers);
         let mut command = Command::new(&program);
-        command.env(ASSEMBLY_THREADS_ENV, share.worker_count().to_string());
-        if let Some((attempts, cap_ms)) = self.reconnect {
-            command.env(WORKER_RECONNECT_ATTEMPTS_ENV, attempts.to_string());
-            command.env(WORKER_RECONNECT_CAP_MS_ENV, cap_ms.to_string());
-        }
         command
+            .env(ASSEMBLY_THREADS_ENV, share.worker_count().to_string())
             .args(&self.args)
-            .env(SOCKET_WORKER_ENV, addr_spec)
+            .env(SOCKET_WORKER_ENV, addr)
             // Scope the inherited fault plan to this worker: `name#w<N>`
             // entries fire only in the N-th spawned worker process.
             .env(rough_faults::SCOPE_ENV, format!("w{ordinal}"))
@@ -498,36 +252,37 @@ impl SocketExecutor {
     fn checkout_workers(&self) -> Result<(Vec<WorkerConn>, bool), EngineError> {
         let mut state = self.state.lock().expect("socket state poisoned");
         if state.listener.is_none() {
-            state.listener = Some(Listener::bind(&self.transport)?);
+            state.listener = Some(bind_listener()?);
         }
-        let addr_spec = state
+        let addr = state
             .listener
             .as_ref()
             .expect("listener just bound")
-            .addr_spec()?;
+            .local_addr()
+            .map_err(|e| socket_error(format!("cannot read listener address: {e}")))?
+            .to_string();
 
         // Reap exited children so the fleet top-up below is sized right.
         state
             .children
             .retain_mut(|c| matches!(c.try_wait(), Ok(None)));
 
-        // Drop idle connections whose process died while parked (a parked
-        // worker cannot be mid-frame, so a dead peer surfaces on first use;
-        // probing here keeps the common path simple).
+        // Idle connections whose process died while parked stay in the
+        // pool: a parked worker cannot be mid-frame, so the dead peer
+        // surfaces as a lost worker on first use and is replaced next run.
         let missing = self.workers.saturating_sub(state.idle.len());
         let mut to_spawn = missing.saturating_sub(state.children.len().saturating_sub(
             // children currently backing idle connections
             state.idle.len(),
         ));
         // Flapping-worker circuit breaker: once this executor has spawned
-        // `workers + respawn_cap` processes in total, stop replacing dead
+        // `workers + RESPAWN_CAP` processes in total, stop replacing dead
         // ones and degrade to whatever fleet survives.
-        let spawn_budget =
-            (self.workers + self.respawn_cap() as usize).saturating_sub(state.spawned_total);
+        let spawn_budget = (self.workers + RESPAWN_CAP).saturating_sub(state.spawned_total);
         let breaker_tripped = to_spawn > spawn_budget;
         to_spawn = to_spawn.min(spawn_budget);
         for _ in 0..to_spawn {
-            let child = self.spawn_worker(&addr_spec, state.spawned_total)?;
+            let child = self.spawn_worker(&addr, state.spawned_total)?;
             state.spawned_total += 1;
             state.children.push(child);
         }
@@ -544,7 +299,7 @@ impl SocketExecutor {
             if state.idle.len() >= self.workers.min(reachable) {
                 break;
             }
-            let accepted = state.listener.as_ref().expect("listener bound").accept();
+            let accepted = accept(state.listener.as_ref().expect("listener bound"));
             match accepted {
                 Ok(mut conn) => {
                     // The worker leads with HELLO; consume and validate it.
@@ -589,7 +344,7 @@ impl Drop for SocketExecutor {
         let mut state = self.state.lock().expect("socket state poisoned");
         for worker in &mut state.idle {
             let _ = write_frame(&mut worker.conn, &Frame::empty(kind::SHUTDOWN));
-            worker.conn.shutdown();
+            let _ = worker.conn.shutdown(Shutdown::Both);
         }
         for child in &mut state.children {
             let _ = child.kill();
@@ -670,15 +425,7 @@ impl UnitExecutor for SocketExecutor {
                     let wire_text = wire_text.as_str();
                     scope.spawn(move || {
                         drive_worker(
-                            worker,
-                            run_id,
-                            wire_text,
-                            plan,
-                            sink,
-                            queue,
-                            remaining,
-                            failed,
-                            self.heartbeat_timeout,
+                            worker, run_id, wire_text, plan, sink, queue, remaining, failed,
                         )
                     })
                 })
@@ -727,7 +474,6 @@ fn drive_worker(
     queue: &Mutex<VecDeque<Vec<usize>>>,
     remaining: &AtomicUsize,
     failed: &AtomicBool,
-    heartbeat_timeout: Duration,
 ) -> Result<WorkerOutcome, EngineError> {
     let lost = |worker: &WorkerConn, pending: Vec<usize>, sink: &UnitSink<'_>| {
         let requeued = pending.len();
@@ -743,7 +489,7 @@ fn drive_worker(
 
     if worker
         .conn
-        .set_read_timeout(Some(heartbeat_timeout))
+        .set_read_timeout(Some(HEARTBEAT_TIMEOUT))
         .is_err()
     {
         return Ok(lost(&worker, Vec::new(), sink));
@@ -795,44 +541,29 @@ fn drive_worker(
             match frame.kind {
                 kind::HEARTBEAT => {}
                 kind::RESULT => {
-                    let mut reader = frame.reader();
-                    let parsed = (|| -> Result<(u64, UnitRecord, f64), EngineError> {
-                        let id = reader.u64()?;
-                        let unit = reader.u64()? as usize;
-                        let case_index = reader.u64()? as usize;
-                        let value = reader.f64_bits()?;
-                        let relative_residual = reader.f64_bits()?;
-                        let wall = reader.f64_bits()?;
-                        // Appended by the degradation-aware protocol
-                        // revision; a shorter frame means a clean solve.
-                        let degraded = reader.remaining() >= 8 && reader.u64()? != 0;
-                        Ok((
-                            id,
-                            UnitRecord {
-                                unit,
-                                case_index,
-                                value,
-                                relative_residual,
-                                degraded,
-                            },
-                            wall,
-                        ))
-                    })();
-                    let Ok((id, record, wall_seconds)) = parsed else {
+                    // A RESULT that does not decode, or whose case index
+                    // disagrees with the plan, is malformed: the worker is
+                    // lost and its batch re-queued.
+                    let Ok((id, record, wall)) = decode_result(&frame) else {
                         return Ok(lost(&worker, pending.into_iter().collect(), sink));
                     };
                     if id != run_id {
                         continue; // stale frame from a previous run; skip
                     }
-                    if !pending.remove(&record.unit) {
+                    if !pending.contains(&record.unit) {
                         failed.store(true, Ordering::SeqCst);
                         return Err(socket_error(format!(
                             "worker {} reported unassigned unit {}",
                             worker.index, record.unit
                         )));
                     }
-                    sink.unit_started(&plan.units()[record.unit]);
-                    sink.complete_timed(record, Duration::from_secs_f64(wall_seconds.max(0.0)))?;
+                    let unit = &plan.units()[record.unit];
+                    if unit.case_index != record.case_index {
+                        return Ok(lost(&worker, pending.into_iter().collect(), sink));
+                    }
+                    pending.remove(&record.unit);
+                    sink.unit_started(unit);
+                    sink.complete_timed(record, wall)?;
                     remaining.fetch_sub(1, Ordering::SeqCst);
                 }
                 kind::STATS => {
@@ -860,6 +591,32 @@ fn drive_worker(
             }
         }
     }
+}
+
+/// Decodes a RESULT frame into `(run id, record, worker-measured wall
+/// time)`. A wall time that is negative, non-finite or beyond [`Duration`]
+/// is as malformed as a short frame.
+fn decode_result(frame: &Frame) -> Result<(u64, UnitRecord, Duration), EngineError> {
+    let mut reader = frame.reader();
+    let id = reader.u64()?;
+    let unit = reader.u64()? as usize;
+    let case_index = reader.u64()? as usize;
+    let value = reader.f64_bits()?;
+    let relative_residual = reader.f64_bits()?;
+    let wall_seconds = reader.f64_bits()?;
+    let wall = Duration::try_from_secs_f64(wall_seconds)
+        .map_err(|_| socket_error(format!("RESULT carries wall time {wall_seconds} s")))?;
+    // Appended by the degradation-aware protocol revision; a shorter frame
+    // means a clean solve.
+    let degraded = reader.remaining() >= 8 && reader.u64()? != 0;
+    let record = UnitRecord {
+        unit,
+        case_index,
+        value,
+        relative_residual,
+        degraded,
+    };
+    Ok((id, record, wall))
 }
 
 // ---------------------------------------------------------------------------
@@ -901,38 +658,30 @@ impl WorkerState {
     }
 }
 
-fn worker_main(spec: &str) -> i32 {
+fn worker_main(addr: &str) -> i32 {
     let mut state = WorkerState::new();
-    let (max_attempts, policy) = reconnect_config();
-    let mut attempt: u32 = 0;
     loop {
-        if let Ok(conn) = Conn::connect(spec) {
-            attempt = 0;
-            // Ok(true) is an orderly SHUTDOWN; Ok(false) / Err mean the
-            // connection dropped and we should reconnect with backoff.
-            if let Ok(true) = serve_connection(conn, &mut state) {
-                return 0;
-            }
-        }
-        attempt += 1;
-        if attempt > max_attempts {
+        let Ok(stream) = dial(addr) else {
             return 1;
+        };
+        // Ok(true) is an orderly SHUTDOWN; Ok(false) / Err mean the
+        // connection dropped and we should redial.
+        if let Ok(true) = serve_connection(stream, &mut state) {
+            return 0;
         }
-        // Capped exponential backoff with deterministic jitter (the shared
-        // retry policy), ~25ms doubling to the configured cap.
-        std::thread::sleep(policy.backoff(attempt - 1));
+        std::thread::sleep(dial_backoff(0));
     }
 }
 
 /// Serves one connection until SHUTDOWN (`Ok(true)`), peer disconnect
 /// (`Ok(false)`), or a transport error. Solve errors are reported in-band
 /// (ERR frame) and do not tear down the connection.
-fn serve_connection(conn: Conn, state: &mut WorkerState) -> Result<bool, EngineError> {
+fn serve_connection(stream: TcpStream, state: &mut WorkerState) -> Result<bool, EngineError> {
     let writer =
-        Arc::new(Mutex::new(conn.try_clone().map_err(|e| {
+        Arc::new(Mutex::new(stream.try_clone().map_err(|e| {
             socket_error(format!("cannot clone connection: {e}"))
         })?));
-    let mut reader = conn;
+    let mut reader = stream;
     {
         let hello = PayloadWriter::new()
             .u64(u64::from(crate::frame::VERSION))
@@ -954,11 +703,6 @@ fn serve_connection(conn: Conn, state: &mut WorkerState) -> Result<bool, EngineE
         std::thread::spawn(move || {
             while !stop.load(Ordering::SeqCst) {
                 if active.load(Ordering::SeqCst) {
-                    // Fault point: go silent for ten beacon periods — long
-                    // enough to trip a tightened dispatcher timeout.
-                    if rough_faults::should_fire("worker.heartbeat.delay") {
-                        std::thread::sleep(HEARTBEAT_PERIOD * 10);
-                    }
                     let frame = Frame::empty(kind::HEARTBEAT);
                     let mut writer = writer.lock().expect("writer lock poisoned");
                     if write_frame(&mut *writer, &frame).is_err() {
@@ -978,15 +722,15 @@ fn serve_connection(conn: Conn, state: &mut WorkerState) -> Result<bool, EngineE
 }
 
 fn serve_frames(
-    reader: &mut Conn,
-    writer: &Arc<Mutex<Conn>>,
+    reader: &mut TcpStream,
+    writer: &Mutex<TcpStream>,
     active: &AtomicBool,
     state: &mut WorkerState,
 ) -> Result<bool, EngineError> {
     loop {
         let frame = match read_frame(reader) {
             Ok(frame) => frame,
-            Err(_) => return Ok(false), // peer gone; caller decides on reconnect
+            Err(_) => return Ok(false), // peer gone; caller decides on redial
         };
         match frame.kind {
             kind::RUN => {
@@ -1004,11 +748,16 @@ fn serve_frames(
             kind::DISPATCH => {
                 let mut payload = frame.reader();
                 let run_id = payload.u64()?;
-                let count = payload.u64()? as usize;
-                let mut units = Vec::with_capacity(count);
-                for _ in 0..count {
-                    units.push(payload.u64()? as usize);
+                // The count is peer-supplied: bound it by the unit ids the
+                // payload actually carries before sizing anything by it.
+                let count = payload.u64()?;
+                if count > (payload.remaining() / 8) as u64 {
+                    send_err(writer, "DISPATCH claims more units than it carries");
+                    continue;
                 }
+                let units = (0..count)
+                    .map(|_| payload.u64().map(|unit| unit as usize))
+                    .collect::<Result<Vec<_>, _>>()?;
                 let Some((current_run, fingerprint, stats_at_start)) = state.current else {
                     send_err(writer, "DISPATCH before RUN");
                     continue;
@@ -1028,12 +777,6 @@ fn serve_frames(
                     evaluate_batch(plan, &units, state.assembly, &state.cache, run_id, writer);
                 active.store(false, Ordering::SeqCst);
                 if let Err(error) = outcome {
-                    // A torn result write leaves the outgoing stream
-                    // desynchronized; drop the connection instead of framing
-                    // an ERR the dispatcher could never parse.
-                    if error.to_string().contains("injected torn result frame") {
-                        return Ok(false);
-                    }
                     send_err(writer, &error.to_string());
                     continue;
                 }
@@ -1062,7 +805,7 @@ fn evaluate_batch(
     assembly: AssemblyParallelism,
     cache: &KernelCache,
     run_id: u64,
-    writer: &Arc<Mutex<Conn>>,
+    writer: &Mutex<TcpStream>,
 ) -> Result<(), EngineError> {
     for &unit_id in units {
         let unit = plan
@@ -1082,23 +825,13 @@ fn evaluate_batch(
             // Appended field; older dispatchers simply never read it.
             .u64(u64::from(record.degraded))
             .frame(kind::RESULT);
-        // Fault point: the connection dies halfway through this RESULT
-        // frame — the dispatcher must discard the fragment and re-queue.
-        if rough_faults::should_fire("worker.result.torn") {
-            let mut bytes = Vec::new();
-            write_frame(&mut bytes, &frame)?;
-            let mut writer = writer.lock().expect("writer lock poisoned");
-            io::Write::write_all(&mut *writer, &bytes[..bytes.len() / 2]).ok();
-            io::Write::flush(&mut *writer).ok();
-            return Err(socket_error("injected torn result frame (fault plan)"));
-        }
         let mut writer = writer.lock().expect("writer lock poisoned");
         write_frame(&mut *writer, &frame)?;
     }
     Ok(())
 }
 
-fn send_err(writer: &Arc<Mutex<Conn>>, message: &str) {
+fn send_err(writer: &Mutex<TcpStream>, message: &str) {
     let frame = PayloadWriter::new().str(message).frame(kind::ERR);
     let mut writer = writer.lock().expect("writer lock poisoned");
     let _ = write_frame(&mut *writer, &frame);
@@ -1150,119 +883,67 @@ mod tests {
     }
 
     #[test]
-    fn transport_specs_roundtrip() {
-        let listener = Listener::bind(&Transport::default()).unwrap();
-        let spec = listener.addr_spec().unwrap();
-        assert!(spec.starts_with("tcp:127.0.0.1:"));
-        // Dial it and complete a frame exchange.
-        let mut client = Conn::connect(&spec).unwrap();
-        let accepted = loop {
-            match listener.accept() {
-                Ok(conn) => break conn,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) => panic!("accept failed: {e}"),
-            }
-        };
-        let mut accepted = accepted;
-        write_frame(&mut client, &Frame::empty(kind::HEARTBEAT)).unwrap();
-        let frame = read_frame(&mut accepted).unwrap();
-        assert_eq!(frame.kind, kind::HEARTBEAT);
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn unix_transport_binds_and_cleans_up() {
-        let path = std::env::temp_dir().join(format!("roughsim-uds-{}.sock", std::process::id()));
-        {
-            let listener = Listener::bind(&Transport::Unix(path.clone())).unwrap();
-            assert_eq!(
-                listener.addr_spec().unwrap(),
-                format!("unix:{}", path.display())
-            );
-            assert!(path.exists());
-            let mut client = Conn::connect(&format!("unix:{}", path.display())).unwrap();
-            write_frame(&mut client, &Frame::empty(kind::HEARTBEAT)).unwrap();
-        }
-        assert!(!path.exists(), "socket file must be removed on drop");
-    }
-
-    #[test]
-    fn connect_rejects_unknown_specs() {
-        assert!(Conn::connect("smoke-signal:hill-7").is_err());
-    }
-
-    /// The reconnect satellite: the dial loop's budget and pacing come from
-    /// the builder/environment knobs, defaulting to the historical constants.
-    #[test]
-    fn reconnect_config_honours_overrides_and_defaults() {
-        let (attempts, policy) = reconnect_config_from(None, None);
-        assert_eq!(attempts, MAX_RECONNECT_ATTEMPTS);
-        assert_eq!(policy.cap_ms, DEFAULT_RECONNECT_CAP_MS);
-        assert_eq!(policy.base_ms, 25);
-        // Every pause respects the cap, and the schedule is deterministic.
-        for attempt in 0..32 {
-            let pause = policy.backoff(attempt);
-            assert!(pause.as_millis() as u64 <= DEFAULT_RECONNECT_CAP_MS);
-            assert_eq!(pause, policy.backoff(attempt));
-        }
-
-        let (attempts, policy) = reconnect_config_from(Some(3), Some(200));
-        assert_eq!(attempts, 3);
-        assert_eq!(policy.cap_ms, 200);
-        // Zero attempts is clamped: a worker always dials at least once more.
-        let (attempts, _) = reconnect_config_from(Some(0), None);
-        assert_eq!(attempts, 1);
-
-        // The env-reading wrapper picks the values up from the variables the
-        // dispatcher exports to spawned workers.
-        std::env::set_var(WORKER_RECONNECT_ATTEMPTS_ENV, "5");
-        std::env::set_var(WORKER_RECONNECT_CAP_MS_ENV, "750");
-        let (attempts, policy) = reconnect_config();
-        std::env::remove_var(WORKER_RECONNECT_ATTEMPTS_ENV);
-        std::env::remove_var(WORKER_RECONNECT_CAP_MS_ENV);
-        assert_eq!(attempts, 5);
-        assert_eq!(policy.cap_ms, 750);
-    }
-
-    #[test]
     fn worker_reconnects_with_backoff_when_the_listener_arrives_late() {
+        assert_eq!(dial_backoff(0), Duration::from_millis(25));
+        assert_eq!(dial_backoff(6), Duration::from_millis(1_600));
+        assert_eq!(dial_backoff(DIAL_ATTEMPTS), Duration::from_millis(1_600));
+
         // Bind a listener, learn the port, drop it, then re-bind it from a
-        // thread after a delay: a connecting worker must retry through the
+        // thread after a delay: a dialing worker must retry through the
         // refused window and succeed once the listener exists.
         let probe = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = probe.local_addr().unwrap();
         drop(probe);
-        let spec = format!("tcp:{addr}");
+        let delay = Duration::from_millis(150);
         let binder = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(150));
+            std::thread::sleep(delay);
             let listener = TcpListener::bind(addr).unwrap();
-            let (conn, _) = listener.accept().unwrap();
-            read_frame(&mut Conn::Tcp(conn.try_clone().unwrap())).unwrap();
-            let _ = conn;
+            let (mut conn, _) = listener.accept().unwrap();
+            read_frame(&mut conn).unwrap();
         });
-        // Mirror worker_main's dial-with-backoff loop.
-        let mut attempt = 0u32;
-        let conn = loop {
-            match Conn::connect(&spec) {
-                Ok(conn) => break conn,
-                Err(_) => {
-                    attempt += 1;
-                    assert!(attempt <= MAX_RECONNECT_ATTEMPTS, "never connected");
-                    std::thread::sleep(Duration::from_millis(25u64 << attempt.min(6)));
-                }
-            }
-        };
-        assert!(attempt >= 1, "first dial must have been refused");
-        let mut conn = conn;
+        let started = Instant::now();
+        let mut conn = dial(&addr.to_string()).expect("the worker dial loop connects");
+        assert!(
+            started.elapsed() >= delay,
+            "the first dials must have been refused and retried"
+        );
         write_frame(&mut conn, &Frame::empty(kind::HEARTBEAT)).unwrap();
         binder.join().unwrap();
     }
 
-    fn accept_blocking(listener: &Listener) -> Conn {
+    #[test]
+    fn a_dispatch_claiming_more_units_than_it_carries_is_answered_with_err() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut dispatcher = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (worker, _) = listener.accept().unwrap();
+        let served = std::thread::spawn(move || {
+            let writer = Mutex::new(worker.try_clone().unwrap());
+            let mut reader = worker;
+            let active = AtomicBool::new(false);
+            serve_frames(&mut reader, &writer, &active, &mut WorkerState::new())
+        });
+        // `u64::MAX` units claimed, one carried: sizing a buffer by the
+        // claim would abort the worker process.
+        let dispatch = PayloadWriter::new()
+            .u64(1)
+            .u64(u64::MAX)
+            .u64(0)
+            .frame(kind::DISPATCH);
+        write_frame(&mut dispatcher, &dispatch).unwrap();
+        let reply = read_frame(&mut dispatcher).unwrap();
+        assert_eq!(reply.kind, kind::ERR);
+        assert!(reply.reader().str().unwrap().contains("more units"));
+        // The connection survives the bad frame and shuts down cleanly.
+        write_frame(&mut dispatcher, &Frame::empty(kind::SHUTDOWN)).unwrap();
+        assert!(
+            served.join().unwrap().unwrap(),
+            "SHUTDOWN ends the connection"
+        );
+    }
+
+    fn accept_blocking(listener: &TcpListener) -> TcpStream {
         loop {
-            match listener.accept() {
+            match accept(listener) {
                 Ok(conn) => return conn,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(1));
@@ -1272,37 +953,36 @@ mod tests {
         }
     }
 
-    /// Fault injection at the *frame* level: a worker whose connection dies
-    /// halfway through writing a RESULT frame. The dispatcher must treat the
-    /// torn frame as a lost worker (never committing the partial record),
-    /// re-queue the batch to the survivor, and finish bit-identically.
-    #[test]
-    fn a_connection_dropped_mid_frame_requeues_to_survivors_bit_identically() {
+    /// Runs the scenario on a two-worker fleet — one honest worker served
+    /// in-process by the real worker loop, one rogue that handshakes, takes
+    /// a dispatch and then hands its connection and the first dispatched
+    /// unit id to `rogue`. The dispatcher must lose the rogue (never
+    /// committing what it sent), re-queue its batch to the honest worker,
+    /// and finish bit-identically to a serial run.
+    fn rogue_worker_is_lost_bit_identically(rogue: impl FnOnce(TcpStream, u64) + Send + 'static) {
         use crate::events::{FnObserver, RunEvent};
         use crate::executor::SerialExecutor;
         use crate::run::{Run, RunConfig};
 
+        static REFERENCE: std::sync::OnceLock<crate::CampaignReport> = std::sync::OnceLock::new();
         let scenario = scenario();
-        let reference = Run::new(&scenario, RunConfig::new().executor(SerialExecutor))
-            .unwrap()
-            .execute()
-            .unwrap();
+        let reference = REFERENCE.get_or_init(|| {
+            Run::new(&scenario, RunConfig::new().executor(SerialExecutor))
+                .unwrap()
+                .execute()
+                .unwrap()
+        });
 
-        let listener = Listener::bind(&Transport::default()).unwrap();
-        let spec = listener.addr_spec().unwrap();
+        let listener = bind_listener().unwrap();
+        let addr = listener.local_addr().unwrap();
 
-        // Worker 1: honest, served in-process by the real worker loop.
-        let honest_spec = spec.clone();
         let honest = std::thread::spawn(move || {
-            let conn = Conn::connect(&honest_spec).unwrap();
+            let conn = TcpStream::connect(addr).unwrap();
             let mut state = WorkerState::new();
             let _ = serve_connection(conn, &mut state);
         });
-        // Worker 2: rogue — handshakes, accepts a dispatch, then drops the
-        // connection halfway through a RESULT frame.
-        let rogue_spec = spec.clone();
         let rogue = std::thread::spawn(move || {
-            let mut conn = Conn::connect(&rogue_spec).unwrap();
+            let mut conn = TcpStream::connect(addr).unwrap();
             let hello = PayloadWriter::new()
                 .u64(u64::from(crate::frame::VERSION))
                 .u64(u64::from(std::process::id()))
@@ -1311,20 +991,9 @@ mod tests {
             assert_eq!(read_frame(&mut conn).unwrap().kind, kind::RUN);
             let dispatch = read_frame(&mut conn).unwrap();
             assert_eq!(dispatch.kind, kind::DISPATCH);
-            let result = PayloadWriter::new()
-                .u64(1)
-                .u64(0)
-                .u64(0)
-                .f64_bits(1.0)
-                .f64_bits(0.0)
-                .f64_bits(0.0)
-                .frame(kind::RESULT);
-            let mut bytes = Vec::new();
-            write_frame(&mut bytes, &result).unwrap();
-            // Full header, half the payload, then a hard shutdown.
-            io::Write::write_all(&mut conn, &bytes[..bytes.len() / 2]).unwrap();
-            io::Write::flush(&mut conn).unwrap();
-            conn.shutdown();
+            let mut payload = dispatch.reader();
+            let (_run, _count) = (payload.u64().unwrap(), payload.u64().unwrap());
+            rogue(conn, payload.u64().unwrap());
         });
 
         // Hand the executor the two pre-connected workers directly (its
@@ -1337,13 +1006,8 @@ mod tests {
         }
         let executor = Arc::new(SocketExecutor {
             workers: 2,
-            transport: Transport::default(),
-            program: None,
             args: Vec::new(),
             core_budget: None,
-            reconnect: None,
-            respawn_cap: None,
-            heartbeat_timeout: DEFAULT_HEARTBEAT_TIMEOUT,
             state: Mutex::new(SocketState {
                 listener: Some(listener),
                 idle,
@@ -1362,7 +1026,7 @@ mod tests {
                 .executor_arc(Arc::clone(&executor) as Arc<dyn crate::executor::UnitExecutor>)
                 .observer(FnObserver(move |event: &RunEvent| {
                     if let RunEvent::WorkerLost { requeued, .. } = event {
-                        assert!(*requeued > 0, "the torn batch must be re-queued");
+                        assert!(*requeued > 0, "the rogue's batch must be re-queued");
                         lost_flag.store(true, Ordering::SeqCst);
                     }
                 })),
@@ -1373,7 +1037,7 @@ mod tests {
 
         assert!(
             lost.load(Ordering::SeqCst),
-            "the mid-frame drop must surface as WorkerLost"
+            "the rogue worker must surface as WorkerLost"
         );
         assert_eq!(report.records.len(), reference.records.len());
         for (got, want) in report.records.iter().zip(&reference.records) {
@@ -1381,7 +1045,7 @@ mod tests {
             assert_eq!(
                 got.value.to_bits(),
                 want.value.to_bits(),
-                "unit {} must be bit-identical despite the torn frame",
+                "unit {} must be bit-identical despite the rogue worker",
                 want.unit
             );
         }
@@ -1389,5 +1053,51 @@ mod tests {
         rogue.join().unwrap();
         drop(executor); // SHUTDOWN frame releases the honest worker loop
         honest.join().unwrap();
+    }
+
+    /// A RESULT frame for `unit` with the given case index and wall time.
+    fn result_frame(unit: u64, case_index: u64, wall_seconds: f64) -> Frame {
+        PayloadWriter::new()
+            .u64(1)
+            .u64(unit)
+            .u64(case_index)
+            .f64_bits(1.0)
+            .f64_bits(0.0)
+            .f64_bits(wall_seconds)
+            .frame(kind::RESULT)
+    }
+
+    /// Fault injection at the *frame* level: the rogue's connection dies
+    /// halfway through writing a RESULT frame.
+    #[test]
+    fn a_connection_dropped_mid_frame_requeues_to_survivors_bit_identically() {
+        rogue_worker_is_lost_bit_identically(|mut conn, unit| {
+            let mut bytes = Vec::new();
+            write_frame(&mut bytes, &result_frame(unit, 0, 0.0)).unwrap();
+            // Full header, half the payload, then a hard shutdown.
+            io::Write::write_all(&mut conn, &bytes[..bytes.len() / 2]).unwrap();
+            io::Write::flush(&mut conn).unwrap();
+            let _ = conn.shutdown(Shutdown::Both);
+        });
+    }
+
+    /// Complete RESULT frames whose wall time cannot be a [`Duration`], or
+    /// whose case index disagrees with the plan, are malformed. The rogue
+    /// stays connected, so it is the dispatcher's decode checks that drop
+    /// it — without them the wall time or case index would panic the run.
+    #[test]
+    fn malformed_results_are_a_lost_worker_not_a_dispatcher_panic() {
+        let malformed: [fn(u64) -> Frame; 3] = [
+            |unit| result_frame(unit, 0, f64::INFINITY),
+            |unit| result_frame(unit, 0, 1e300),
+            |unit| result_frame(unit, u64::MAX, 0.0),
+        ];
+        for frame in malformed {
+            rogue_worker_is_lost_bit_identically(move |mut conn, unit| {
+                write_frame(&mut conn, &frame(unit)).unwrap();
+                // Linger until the dispatcher hangs up.
+                while read_frame(&mut conn).is_ok() {}
+            });
+        }
     }
 }

@@ -14,7 +14,7 @@ use rough_engine::{
     Scenario, SerialExecutor, SocketExecutor, ThreadPoolExecutor, UnitExecutor,
 };
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Worker-mode entry point for the socket executor (see module docs).
 #[test]
@@ -316,6 +316,64 @@ fn socket_run_survives_a_worker_killed_mid_run_bit_identically() {
         "the dispatcher reports the lost worker"
     );
     assert_reports_bit_identical(&reference, &report, "serial vs socket (worker killed)");
+}
+
+#[test]
+fn a_flapping_worker_trips_the_respawn_breaker_and_the_fleet_degrades_bit_identically() {
+    // Small and cheap: every lost worker costs a run, and the breaker only
+    // opens after the fixed respawn cap (4) is spent.
+    let scenario = Scenario::builder(Stackup::paper_baseline())
+        .name("respawn-breaker")
+        .roughness(RoughnessSpec::gaussian(
+            Micrometers::new(1.0),
+            Micrometers::new(1.0),
+        ))
+        .frequencies([GigaHertz::new(4.0).into()])
+        .cells_per_side(4)
+        .max_kl_modes(2)
+        .monte_carlo(4)
+        .master_seed(0xB4EA)
+        .build()
+        .expect("valid scenario");
+    let reference = Run::new(&scenario, RunConfig::new().executor(SerialExecutor))
+        .expect("plan")
+        .execute()
+        .expect("serial campaign");
+
+    let executor: Arc<SocketExecutor> = Arc::new(socket_executor(2));
+    let degraded = Arc::new(Mutex::new(Vec::new()));
+    // A worker killed between runs is found dead (WorkerLost) in the next
+    // run and respawned in the one after; kill again only once the fleet is
+    // whole so the survivor always carries the run.
+    for run in 1..=16 {
+        let lost = Arc::new(AtomicBool::new(false));
+        let (lost_flag, events) = (Arc::clone(&lost), Arc::clone(&degraded));
+        let config = RunConfig::new()
+            .executor_arc(executor.clone() as Arc<dyn UnitExecutor>)
+            .observer(FnObserver(move |event: &RunEvent| match event {
+                RunEvent::WorkerLost { .. } => lost_flag.store(true, Ordering::SeqCst),
+                RunEvent::FleetDegraded { active, configured } => {
+                    events.lock().unwrap().push((*active, *configured));
+                }
+                _ => {}
+            }));
+        let report = Run::new(&scenario, config)
+            .expect("plan")
+            .execute()
+            .expect("campaign survives the flapping worker");
+        assert_reports_bit_identical(&reference, &report, &format!("serial vs socket run {run}"));
+        if !degraded.lock().unwrap().is_empty() {
+            break;
+        }
+        if !lost.load(Ordering::SeqCst) {
+            assert!(executor.kill_one_worker(), "a worker child is live");
+        }
+    }
+    assert_eq!(
+        degraded.lock().unwrap().first(),
+        Some(&(1, 2)),
+        "spending the respawn cap degrades the fleet to the survivor"
+    );
 }
 
 #[test]

@@ -5,16 +5,21 @@
 //! A plan is a declarative spec of which points fire, how many times, and
 //! after how many passes — parsed from the `ROUGHSIM_FAULTS` environment
 //! variable at first use, or installed programmatically by tests. Because the
-//! plan is counter-based (no clocks, no randomness beyond an explicit seed),
-//! the same plan against the same workload reproduces the same failures —
-//! chaos runs are debuggable, and CI chaos smoke is stable.
+//! plan is counter-based (no clocks, no randomness), the same plan against
+//! the same workload reproduces the same failures — chaos runs are
+//! debuggable, and CI chaos smoke is stable.
+//!
+//! The workspace carries four points, each armed by CI or a test:
+//! `solver.krylov.breakdown` (core solver), `checkpoint.append.torn` (engine
+//! checkpoint), `worker.exit` (socket worker) and `job.run.fail` (service
+//! daemon).
 //!
 //! # Plan grammar
 //!
 //! Entries are separated by `;` or `,`:
 //!
 //! ```text
-//! ROUGHSIM_FAULTS="worker.exit#w0:1;solver.krylov.breakdown:*;checkpoint.append.torn:2@1;seed=42"
+//! ROUGHSIM_FAULTS="worker.exit#w0:1;solver.krylov.breakdown:*;checkpoint.append.torn:2@1"
 //! ```
 //!
 //! Each entry is `name[#scope][:count][@skip]`:
@@ -27,8 +32,8 @@
 //! * `:count` — fire this many times then pass (default 1; `*` = always);
 //! * `@skip` — pass this many hits before the first firing (default 0).
 //!
-//! `seed=N` keys the deterministic jitter helpers ([`fault_seed`]); it does
-//! not affect which points fire.
+//! Names never contain `=`: an entry such as `seed=42` is rejected rather
+//! than armed as a point nothing would ever hit.
 //!
 //! # Process model
 //!
@@ -66,7 +71,6 @@ pub struct FaultEntry {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     entries: Vec<FaultEntry>,
-    seed: u64,
 }
 
 impl FaultPlan {
@@ -89,11 +93,8 @@ impl FaultPlan {
             if raw.is_empty() {
                 continue;
             }
-            if let Some(seed) = raw.strip_prefix("seed=") {
-                plan.seed = seed
-                    .parse()
-                    .map_err(|_| format!("fault plan: bad seed `{seed}`"))?;
-                continue;
+            if raw.contains('=') {
+                return Err(format!("fault plan: `{raw}` is not a fault point"));
             }
             let (head, skip) = match raw.split_once('@') {
                 Some((head, skip)) => (
@@ -135,11 +136,6 @@ impl FaultPlan {
     /// The armed entries.
     pub fn entries(&self) -> &[FaultEntry] {
         &self.entries
-    }
-
-    /// The plan's jitter seed (`seed=N`; 0 when unset).
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Whether the plan arms `name` for the given process scope.
@@ -264,14 +260,6 @@ pub fn should_fire(point: &str) -> bool {
     armed().should_fire(point)
 }
 
-/// The armed plan's jitter seed (0 without a plan or `seed=`).
-pub fn fault_seed() -> u64 {
-    if ARMED.get().is_none() {
-        init_from_env();
-    }
-    armed().plan.seed()
-}
-
 /// How many times fault point `point` has fired in this process.
 pub fn fired_count(point: &str) -> u64 {
     if ARMED.get().is_none() {
@@ -327,17 +315,6 @@ impl Drop for ScopedPlan {
     }
 }
 
-/// SplitMix64 — the tiny, high-quality mixer used for deterministic jitter.
-/// Public so retry policies can derive per-attempt jitter from
-/// `(seed, attempt)` without any shared RNG state.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,10 +322,9 @@ mod tests {
     #[test]
     fn parsing_covers_the_grammar() {
         let plan = FaultPlan::parse(
-            "worker.exit#w0:1; solver.krylov.breakdown:* , checkpoint.append.torn:2@1;seed=42",
+            "worker.exit#w0:1; solver.krylov.breakdown:* , checkpoint.append.torn:2@1",
         )
         .unwrap();
-        assert_eq!(plan.seed(), 42);
         assert_eq!(plan.entries().len(), 3);
         assert_eq!(
             plan.entries()[0],
@@ -373,7 +349,11 @@ mod tests {
         assert!(FaultPlan::parse("x:abc").is_err());
         assert!(FaultPlan::parse("x@zz").is_err());
         assert!(FaultPlan::parse(":3").is_err());
-        assert!(FaultPlan::parse("seed=notanumber").is_err());
+        // The retired `seed=N` clause (and any other `key=value`) would
+        // otherwise arm a point that never fires.
+        assert!(FaultPlan::parse("seed=42").is_err());
+        assert!(FaultPlan::parse("worker.exit:1;seed=42").is_err());
+        assert!(FaultPlan::parse("a=b:1").is_err());
         assert_eq!(FaultPlan::parse("  ;; , ").unwrap(), FaultPlan::none());
     }
 
@@ -413,11 +393,5 @@ mod tests {
         // parent) relies on when its children carry w<i> scopes.
         let _guard = ScopedPlan::parse("s#w0:1");
         assert!(!should_fire("s"));
-    }
-
-    #[test]
-    fn splitmix_is_deterministic_and_mixes() {
-        assert_eq!(splitmix64(1), splitmix64(1));
-        assert_ne!(splitmix64(1), splitmix64(2));
     }
 }

@@ -420,15 +420,6 @@ impl JobQueue {
     }
 
     fn write_line(&mut self, line: &str) -> Result<(), EngineError> {
-        if rough_faults::should_fire("journal.append.short") {
-            // A short write: half the line, no newline — exactly the torn
-            // tail the replay path must scrub.
-            let torn = &line[..line.len() / 2];
-            write!(self.journal, "{torn}")
-                .and_then(|()| self.journal.flush())
-                .ok();
-            return Err(queue_error("injected short journal append (fault plan)"));
-        }
         writeln!(self.journal, "{line}")
             .and_then(|()| self.journal.flush())
             .map_err(|e| queue_error(format!("journal write failed: {e}")))
