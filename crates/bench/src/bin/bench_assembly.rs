@@ -23,7 +23,7 @@
 //!
 //! A second sweep compares operator representations end to end: dense
 //! assembly + direct LU against the matrix-free FFT operator + preconditioned
-//! BiCGSTAB at 8/12/16/24/32 cells per side. Dense runs up to cells=24; the
+//! GMRES at 8/12/16/24/32 cells per side. Dense runs up to cells=24; the
 //! cells=32 dense cost is **extrapolated** (assembly as cells⁴, LU as
 //! unknowns³) and recorded as such, while the matrix-free path runs for real
 //! at every size. At each size where dense runs, the matrix-free matvec is
@@ -37,7 +37,7 @@
 use rough_core::assembly3d::assemble_system_with;
 use rough_core::mesh::PatchMesh;
 use rough_core::parallel::available_cores;
-use rough_core::solver::{solve_operator, solve_system, SolverKind};
+use rough_core::solver::{solve_operator, solve_system, strategy_label, SolverKind};
 use rough_core::{
     AssemblyParallelism, AssemblyScheme, KernelEval, MatrixFreeOperator, MatrixFreePolicy,
 };
@@ -161,8 +161,15 @@ fn operator_scaling_sweep() -> Vec<String> {
     // are extrapolated from this anchor (assembly ∝ cells⁴, LU ∝ unknowns³).
     let dense_limit = 24usize;
     let AssemblyScheme::LocallyCorrected(policy) = AssemblyScheme::default();
+    let mf_solver = SolverKind::Gmres {
+        tolerance: 1e-10,
+        restart: 60,
+    };
 
-    println!("\noperator scaling sweep: dense+DirectLu vs matrix-free FFT+preconditioned BiCGSTAB");
+    println!(
+        "\noperator scaling sweep: dense+DirectLu vs matrix-free FFT+preconditioned {}",
+        strategy_label(mf_solver)
+    );
     println!(
         "{:>6} {:>10} {:>14} {:>14} {:>9} {:>6} {:>14}",
         "cells", "unknowns", "dense e2e", "mf e2e", "speedup", "iters", "matvec diff"
@@ -196,13 +203,8 @@ fn operator_scaling_sweep() -> Vec<String> {
         let precond = mf.preconditioner();
 
         let start = Instant::now();
-        let (_, stats) = solve_operator(
-            &mf,
-            mf.rhs(),
-            SolverKind::Bicgstab { tolerance: 1e-10 },
-            Some(&precond),
-        )
-        .expect("matrix-free benchmark solve");
+        let (_, stats) = solve_operator(&mf, mf.rhs(), mf_solver, Some(&precond))
+            .expect("matrix-free benchmark solve");
         let mf_solve_s = start.elapsed().as_secs_f64();
         assert!(
             stats.relative_residual < 1e-8,
@@ -275,6 +277,7 @@ fn operator_scaling_sweep() -> Vec<String> {
             "    {{\"cells\": {cells}, \"unknowns\": {unknowns}, \
              \"dense_assembly_s\": {da:.4}, \"dense_solve_s\": {ds:.4}, \
              \"dense_end_to_end_s\": {de:.4}, \"dense_extrapolated\": {extrapolated}, \
+             \"mf_solver\": \"{solver}\", \
              \"mf_setup_s\": {ms:.4}, \"mf_solve_s\": {mo:.4}, \
              \"mf_end_to_end_s\": {me:.4}, \"mf_iterations\": {iters}, \
              \"mf_slab_levels\": {levels}, \"mf_fft_planes\": {planes}, \
@@ -283,6 +286,7 @@ fn operator_scaling_sweep() -> Vec<String> {
             da = dense_assembly_s,
             ds = dense_solve_s,
             de = dense_e2e,
+            solver = strategy_label(mf_solver),
             ms = mf_setup_s,
             mo = mf_solve_s,
             me = mf_e2e,

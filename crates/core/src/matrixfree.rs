@@ -1196,7 +1196,10 @@ mod tests {
         let (x_mf, stats) = solve_operator(
             &mf,
             mf.rhs(),
-            SolverKind::Bicgstab { tolerance: 1e-12 },
+            SolverKind::Gmres {
+                tolerance: 1e-12,
+                restart: 60,
+            },
             Some(&precond),
         )
         .unwrap();

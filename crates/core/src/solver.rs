@@ -3,13 +3,13 @@
 //! The paper points out that eq. (9) can be attacked either directly or with
 //! iterative solvers of `O(N log N)` flavour. Both paths are provided: a dense
 //! LU with partial pivoting (robust default for the patch sizes of the
-//! experiments) and the Krylov solvers of `rough-numerics` (BiCGSTAB /
-//! restarted GMRES), which only need matrix–vector products and therefore also
-//! serve the matrix-free ablation benches.
+//! experiments, and the oracle of every fast path) and the restarted GMRES of
+//! `rough-numerics`, which only needs matrix–vector products and therefore
+//! also drives the matrix-free operator.
 
 use crate::error::SwmError;
 use rough_numerics::complex::c64;
-use rough_numerics::iterative::{bicgstab, gmres, IterativeConfig, IterativeError, LinearOperator};
+use rough_numerics::iterative::{gmres, IterativeConfig, IterativeError, LinearOperator};
 use rough_numerics::linalg::CMatrix;
 
 /// Strategy used to solve the assembled `2N × 2N` system.
@@ -18,11 +18,6 @@ pub enum SolverKind {
     /// Dense LU factorization with partial pivoting (default).
     #[default]
     DirectLu,
-    /// BiCGSTAB Krylov iteration.
-    Bicgstab {
-        /// Relative residual tolerance.
-        tolerance: f64,
-    },
     /// Restarted GMRES(m) Krylov iteration.
     Gmres {
         /// Relative residual tolerance.
@@ -122,7 +117,6 @@ impl SolveDiagnostics {
 pub fn strategy_label(kind: SolverKind) -> String {
     match kind {
         SolverKind::DirectLu => "direct-lu".into(),
-        SolverKind::Bicgstab { tolerance } => format!("bicgstab(tol={tolerance:.0e})"),
         SolverKind::Gmres { tolerance, restart } => {
             format!("gmres(tol={tolerance:.0e},restart={restart})")
         }
@@ -151,9 +145,7 @@ pub fn solve_system(
             };
             Ok((x, stats))
         }
-        SolverKind::Bicgstab { .. } | SolverKind::Gmres { .. } => {
-            solve_operator(matrix, rhs, kind, None)
-        }
+        SolverKind::Gmres { .. } => solve_operator(matrix, rhs, kind, None),
     }
 }
 
@@ -180,7 +172,7 @@ impl LinearOperator for RightPreconditioned<'_> {
 /// with an optional right preconditioner `M⁻¹` (itself just another operator;
 /// see [`crate::matrixfree::BlockDiagonalPreconditioner`]).
 ///
-/// Only the Krylov strategies apply: a matrix-free operator exposes nothing a
+/// Only the Krylov strategy applies: a matrix-free operator exposes nothing a
 /// direct factorization could act on.
 ///
 /// # Errors
@@ -210,10 +202,6 @@ pub fn krylov_config(kind: SolverKind) -> Result<IterativeConfig, SwmError> {
         SolverKind::DirectLu => Err(SwmError::LinearSolver(
             "DirectLu requires a dense matrix; use a Krylov SolverKind for operator solves".into(),
         )),
-        SolverKind::Bicgstab { tolerance } => Ok(IterativeConfig {
-            tolerance,
-            ..Default::default()
-        }),
         SolverKind::Gmres { tolerance, restart } => Ok(IterativeConfig {
             tolerance,
             restart,
@@ -225,7 +213,7 @@ pub fn krylov_config(kind: SolverKind) -> Result<IterativeConfig, SwmError> {
 /// [`solve_operator`] with an explicit [`IterativeConfig`] — the escalation
 /// ladder retries a failed solve with a tightened config through this entry
 /// point. The config's `tolerance`/`restart` take precedence over the values
-/// embedded in `kind`; `kind` only selects the method.
+/// embedded in `kind`, which only has to be a Krylov kind.
 ///
 /// The named fault point `solver.krylov.breakdown`
 /// ([`rough_faults::should_fire`]) injects a deterministic breakdown here,
@@ -242,16 +230,7 @@ pub fn solve_operator_configured(
     precond: Option<&dyn LinearOperator>,
     config: &IterativeConfig,
 ) -> Result<(Vec<c64>, SolveStats), SwmError> {
-    let use_gmres = match kind {
-        SolverKind::DirectLu => {
-            return Err(SwmError::LinearSolver(
-                "DirectLu requires a dense matrix; use a Krylov SolverKind for operator solves"
-                    .into(),
-            ))
-        }
-        SolverKind::Bicgstab { .. } => false,
-        SolverKind::Gmres { .. } => true,
-    };
+    krylov_config(kind)?;
     if rough_faults::should_fire("solver.krylov.breakdown") {
         return Err(SwmError::LinearSolver(
             "injected Krylov breakdown (fault plan)".into(),
@@ -265,12 +244,7 @@ pub fn solve_operator_configured(
         }
         None => op,
     };
-    let sol = if use_gmres {
-        gmres(krylov_op, rhs, config)
-    } else {
-        bicgstab(krylov_op, rhs, config)
-    }
-    .map_err(map_iterative_error)?;
+    let sol = gmres(krylov_op, rhs, config).map_err(map_iterative_error)?;
     let x = match precond {
         Some(precond) => precond.apply(&sol.x),
         None => sol.x,
@@ -325,7 +299,6 @@ mod tests {
     fn all_solvers_agree() {
         let (a, b) = test_system(30);
         let (x_lu, s_lu) = solve_system(&a, &b, SolverKind::DirectLu).unwrap();
-        let (x_bi, s_bi) = solve_system(&a, &b, SolverKind::Bicgstab { tolerance: 1e-11 }).unwrap();
         let (x_gm, s_gm) = solve_system(
             &a,
             &b,
@@ -336,10 +309,8 @@ mod tests {
         )
         .unwrap();
         assert!(s_lu.relative_residual < 1e-12);
-        assert!(s_bi.iterations > 0 && s_bi.relative_residual < 1e-10);
         assert!(s_gm.iterations > 0 && s_gm.relative_residual < 1e-10);
         for i in 0..30 {
-            assert!((x_lu[i] - x_bi[i]).abs() < 1e-8);
             assert!((x_lu[i] - x_gm[i]).abs() < 1e-8);
         }
     }
@@ -353,18 +324,14 @@ mod tests {
         let jacobi = FnOperator::new(30, move |x: &[c64]| {
             x.iter().zip(&diag_inv).map(|(v, d)| *v * *d).collect()
         });
-        for kind in [
-            SolverKind::Bicgstab { tolerance: 1e-12 },
-            SolverKind::Gmres {
-                tolerance: 1e-12,
-                restart: 25,
-            },
-        ] {
-            let (x, stats) = solve_operator(&a, &b, kind, Some(&jacobi)).unwrap();
-            assert!(stats.iterations > 0 && stats.relative_residual < 1e-10);
-            for i in 0..30 {
-                assert!((x_lu[i] - x[i]).abs() < 1e-8);
-            }
+        let kind = SolverKind::Gmres {
+            tolerance: 1e-12,
+            restart: 25,
+        };
+        let (x, stats) = solve_operator(&a, &b, kind, Some(&jacobi)).unwrap();
+        assert!(stats.iterations > 0 && stats.relative_residual < 1e-10);
+        for i in 0..30 {
+            assert!((x_lu[i] - x[i]).abs() < 1e-8);
         }
     }
 

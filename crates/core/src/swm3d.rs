@@ -654,7 +654,7 @@ impl SwmProblemBuilder {
             if self.solver == SolverKind::DirectLu {
                 return Err(SwmError::InvalidConfiguration(
                     "the matrix-free operator never forms the dense matrix DirectLu needs; \
-                     select a Krylov solver (Bicgstab or Gmres)"
+                     select the Krylov solver (Gmres)"
                         .into(),
                 ));
             }
@@ -835,7 +835,10 @@ mod tests {
         let mf = SwmProblem::builder(stack, spec)
             .frequency(GigaHertz::new(5.0).into())
             .cells_per_side(8)
-            .solver(SolverKind::Bicgstab { tolerance: 1e-12 })
+            .solver(SolverKind::Gmres {
+                tolerance: 1e-12,
+                restart: 60,
+            })
             .operator_repr(OperatorRepr::MatrixFree(Default::default()))
             .build()
             .unwrap();
@@ -862,7 +865,10 @@ mod tests {
         assert!(matches!(
             SwmProblem::builder(stack, spec)
                 .frequency(GigaHertz::new(5.0).into())
-                .solver(SolverKind::Bicgstab { tolerance: 1e-10 })
+                .solver(SolverKind::Gmres {
+                    tolerance: 1e-10,
+                    restart: 60,
+                })
                 .operator_repr(OperatorRepr::MatrixFree(
                     crate::matrixfree::MatrixFreePolicy {
                         order: 3,

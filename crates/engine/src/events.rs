@@ -29,9 +29,8 @@ pub enum RunEvent {
         record: UnitRecord,
         /// Measured wall time between this unit's `UnitStarted` and its
         /// completion (for socket workers, the worker-measured solve time), or
-        /// `None` when the run layer observed neither. This is the raw
-        /// material for calibrating
-        /// [`crate::schedule::CostOrdered`] from real data.
+        /// `None` when the run layer observed neither. The same figure lands
+        /// in [`crate::CampaignReport::unit_times`].
         wall: Option<Duration>,
     },
     /// Every unit of one case has completed.

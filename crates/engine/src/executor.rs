@@ -3,8 +3,8 @@
 //! Executors walk the plan's two-stage DAG: stage 0 builds every distinct
 //! shared context (Ewald kernels + smooth-surface reference solve) and
 //! publishes it through the [`KernelCache`]; stage 1 evaluates the
-//! realization/collocation units against the cached contexts, in whatever
-//! order the [`crate::schedule::Scheduler`] chose. All randomness was fixed
+//! realization/collocation units against the cached contexts, in the plan
+//! order the run hands them over. All randomness was fixed
 //! at plan time and records are keyed by unit id, so a campaign's statistics
 //! are bit-identical for a fixed master seed no matter which executor runs it
 //! or how many workers it uses.
@@ -115,19 +115,19 @@ pub fn executor_from_env(budget: usize) -> Result<Arc<dyn UnitExecutor>, EngineE
     parse_executor_spec(&std::env::var(EXECUTOR_ENV).unwrap_or_default(), budget)
 }
 
-/// Executes scheduled work units, committing each completed record through
+/// Executes planned work units, committing each completed record through
 /// the [`UnitSink`].
 ///
 /// Contract:
 ///
-/// * units must be taken from `order` (a subset of plan unit ids chosen by
-///   the scheduler — on resume, already-checkpointed units are absent);
+/// * units must be taken from `order` (the plan's unit ids in plan order —
+///   on resume, already-checkpointed units are absent);
 /// * every completed unit must be committed via [`UnitSink::complete`];
 /// * executors should stop picking up new units once
 ///   [`UnitSink::is_cancelled`] returns `true` and then return `Ok(())` —
 ///   the run layer turns the shortfall into [`EngineError::Interrupted`];
 /// * determinism: a unit's record must depend only on the plan, never on
-///   scheduling, worker identity or timing.
+///   completion order, worker identity or timing.
 pub trait UnitExecutor: Send + Sync + std::fmt::Debug {
     /// Short executor label (reports, logs, benchmarks).
     fn name(&self) -> &'static str;
@@ -149,7 +149,7 @@ pub trait UnitExecutor: Send + Sync + std::fmt::Debug {
     ) -> Result<(), EngineError>;
 }
 
-/// Evaluates every unit on the calling thread, in schedule order.
+/// Evaluates every unit on the calling thread, in plan order.
 ///
 /// One unit at a time means the whole core budget is available *inside* each
 /// solve: the serial executor gives every unit
@@ -256,7 +256,7 @@ impl UnitExecutor for ThreadPoolExecutor {
         cache: &KernelCache,
         sink: &UnitSink<'_>,
     ) -> Result<(), EngineError> {
-        // Stage 0: build every distinct context the scheduled units need and
+        // Stage 0: build every distinct context the ordered units need and
         // that is not already cached, in parallel, then publish. Building
         // through a representative case keeps `get_or_build` the only cache
         // write path.
@@ -280,7 +280,7 @@ impl UnitExecutor for ThreadPoolExecutor {
             cache.get_or_build(case.context_key, || Ok(context))?;
         }
 
-        // Stage 1: evaluate the scheduled units in parallel. Records are
+        // Stage 1: evaluate the ordered units in parallel. Records are
         // committed through the sink as they complete; the run layer
         // reassembles plan order by unit id.
         let results: Vec<Result<(), EngineError>> = self.pool.install(|| {
@@ -596,7 +596,7 @@ mod tests {
             report.unit_times.iter().all(|t| t.is_some()),
             "every in-process unit must carry a measured wall time"
         );
-        // The calibration hook exposes a per-case mean.
+        // The JSON summary's per-case mean is exposed directly.
         assert!(report.measured_mean_unit_seconds(0).unwrap() > 0.0);
         assert!(report.measured_mean_unit_seconds(99).is_none());
     }

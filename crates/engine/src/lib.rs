@@ -14,15 +14,14 @@
 //!    budget) expands into a deduplicated two-stage DAG of [`plan::WorkUnit`]s:
 //!    first the shared per-(grid, frequency, stackup) contexts, then the
 //!    realization/collocation evaluations that depend on them.
-//! 2. **Execution** ([`run`], [`executor`], [`schedule`], [`cache`]) — a
+//! 2. **Execution** ([`run`], [`executor`], [`cache`]) — a
 //!    session-oriented [`run::Run`] API: a [`run::RunConfig`] picks one of
 //!    three [`executor::UnitExecutor`]s ([`executor::SerialExecutor`],
 //!    [`executor::ThreadPoolExecutor`], or the multi-process
-//!    [`socket::SocketExecutor`]) and a [`schedule::Scheduler`]
-//!    ([`schedule::PlanOrder`] or longest-first [`schedule::CostOrdered`]).
+//!    [`socket::SocketExecutor`]), which receives the units in plan order.
 //!    Work-unit seeds and germ draws are fixed at plan time from a master
 //!    seed, so results are **bit-identical regardless of executor, worker
-//!    count or schedule**, and a keyed [`cache::KernelCache`] shares the
+//!    count or completion order**, and a keyed [`cache::KernelCache`] shares the
 //!    Ewald-summed periodic kernels, the Karhunen–Loève basis and the
 //!    smooth-surface reference solve across all realizations of a case — the
 //!    dominant redundant cost of the serial drivers. Every solve through a
@@ -81,7 +80,6 @@ pub mod report;
 pub mod rng;
 pub mod run;
 pub mod scenario;
-pub mod schedule;
 pub mod socket;
 pub mod sweep;
 pub mod wire;
@@ -97,6 +95,5 @@ pub use plan::Plan;
 pub use report::{CampaignReport, CaseOutcome, CaseReport, UnitRecord};
 pub use run::{report_from_records, CancelToken, Run, RunConfig, UnitSink};
 pub use scenario::{CaseId, EnsembleMode, Scenario, ScenarioBuilder};
-pub use schedule::{unit_class, CostOrdered, CostTable, PlanOrder, Scheduler};
 pub use socket::{maybe_serve_worker, SocketExecutor, SOCKET_WORKER_ENV};
 pub use sweep::{SweepScenario, SweepScenarioBuilder};

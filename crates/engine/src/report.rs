@@ -93,10 +93,8 @@ pub struct CampaignReport {
     /// Worker threads used.
     pub threads: usize,
     /// Measured per-unit wall times in plan order (`None` for units restored
-    /// from a checkpoint, whose solves this run did not observe). Recorded so
-    /// cost models —
-    /// [`crate::schedule::CostOrdered`] today, calibrated schedulers
-    /// tomorrow — can be fitted from real data.
+    /// from a checkpoint, whose solves this run did not observe). They feed
+    /// the per-case `measured_mean_unit_s` of the JSON summary.
     pub unit_times: Vec<Option<Duration>>,
 }
 
@@ -109,8 +107,8 @@ impl CampaignReport {
     }
 
     /// Mean measured unit wall time of one case (by case index), when at
-    /// least one of its units was timed this run — the calibration input for
-    /// cost-ordered scheduling.
+    /// least one of its units was timed this run — the JSON summary's
+    /// `measured_mean_unit_s`.
     pub fn measured_mean_unit_seconds(&self, case_index: usize) -> Option<f64> {
         let timed: Vec<f64> = self
             .records

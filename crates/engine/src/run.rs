@@ -2,7 +2,7 @@
 //! campaign executions.
 //!
 //! A [`Run`] is one planned campaign bound to a [`RunConfig`] — *which*
-//! executor evaluates the units, in *what order* (scheduler), *where*
+//! executor evaluates the units (handed over in plan order), *where*
 //! completed records are durably checkpointed, and *who* observes progress
 //! events. [`Run::execute`] drives the executor and returns the final
 //! [`CampaignReport`]; [`Run::resume`] continues an interrupted campaign from
@@ -46,7 +46,6 @@ use crate::plan::{Plan, WorkUnit};
 use crate::report::{CampaignReport, CaseOutcome, CaseReport, UnitRecord};
 use crate::rng::derive_stream;
 use crate::scenario::{EnsembleMode, Scenario};
-use crate::schedule::{PlanOrder, Scheduler};
 use rough_stochastic::collocation::{run_sscm_on_grid, SscmConfig};
 use rough_stochastic::monte_carlo::MonteCarloResult;
 use std::collections::HashMap;
@@ -60,16 +59,14 @@ use std::time::{Duration, Instant};
 /// Monte-Carlo germ seeds derived for the same cases.
 const SURROGATE_STREAM_OFFSET: u64 = 1 << 32;
 
-/// Configuration of one [`Run`]: executor, scheduler, checkpoint sink,
-/// observer and kernel cache.
+/// Configuration of one [`Run`]: executor, checkpoint sink, observer, kernel
+/// cache and cancellation token.
 ///
-/// The default is a hardware-sized [`ThreadPoolExecutor`], [`PlanOrder`]
-/// scheduling, no checkpoint, no observer and a fresh private cache. Pass
-/// one `Arc<KernelCache>` to [`RunConfig::cache`] of several runs to share
-/// their cached kernels.
+/// The default is a hardware-sized [`ThreadPoolExecutor`], no checkpoint, no
+/// observer and a fresh private cache. Pass one `Arc<KernelCache>` to
+/// [`RunConfig::cache`] of several runs to share their cached kernels.
 pub struct RunConfig {
     pub(crate) executor: Arc<dyn UnitExecutor>,
-    pub(crate) scheduler: Arc<dyn Scheduler>,
     pub(crate) checkpoint: Option<PathBuf>,
     pub(crate) observer: Option<Arc<dyn RunObserver>>,
     pub(crate) cache: Arc<KernelCache>,
@@ -80,7 +77,6 @@ impl std::fmt::Debug for RunConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunConfig")
             .field("executor", &self.executor)
-            .field("scheduler", &self.scheduler)
             .field("checkpoint", &self.checkpoint)
             .field("observer", &self.observer.as_ref().map(|_| "RunObserver"))
             .finish_non_exhaustive()
@@ -94,12 +90,11 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
-    /// The default configuration (thread-pool executor, plan order, no
-    /// checkpoint, no observer, fresh cache).
+    /// The default configuration (thread-pool executor, no checkpoint, no
+    /// observer, fresh cache).
     pub fn new() -> Self {
         Self {
             executor: Arc::new(ThreadPoolExecutor::default()),
-            scheduler: Arc::new(PlanOrder),
             checkpoint: None,
             observer: None,
             cache: Arc::new(KernelCache::new()),
@@ -115,12 +110,6 @@ impl RunConfig {
     /// Selects an already shared executor (e.g. one pool reused across runs).
     pub fn executor_arc(mut self, executor: Arc<dyn UnitExecutor>) -> Self {
         self.executor = executor;
-        self
-    }
-
-    /// Selects the scheduling policy.
-    pub fn scheduler(mut self, scheduler: impl Scheduler + 'static) -> Self {
-        self.scheduler = Arc::new(scheduler);
         self
     }
 
@@ -195,7 +184,7 @@ pub struct UnitSink<'a> {
     resumed: usize,
     cancel: &'a CancelToken,
     /// Start timestamps of in-flight units, for the per-unit wall times the
-    /// cost-model calibration hook records into the report.
+    /// report's measured-cost summary is built from.
     started_at: Mutex<HashMap<usize, Instant>>,
     /// Measured `(unit, wall)` pairs of this run's completed units.
     timings: Mutex<Vec<(usize, Duration)>>,
@@ -448,14 +437,12 @@ impl Run {
         let plan = &self.plan;
         let total_units = plan.units().len();
 
-        // Schedule, minus what the checkpoint already holds.
-        let full_order = self.config.scheduler.schedule(plan);
-        debug_assert_eq!(full_order.len(), total_units, "schedule is a permutation");
+        // Plan order, minus what the checkpoint already holds.
         let mut done = vec![false; total_units];
         for record in &self.resumed {
             done[record.unit] = true;
         }
-        let order: Vec<usize> = full_order.into_iter().filter(|&u| !done[u]).collect();
+        let order: Vec<usize> = (0..total_units).filter(|&u| !done[u]).collect();
 
         // Checkpoint: resuming onto the same file appends; everything else —
         // fresh runs and resumes forked to a new path — writes a fresh trail
@@ -546,8 +533,9 @@ impl Run {
 }
 
 /// Aggregates per-unit records (in plan order) into the final campaign
-/// report. Pure plan-order arithmetic: independent of executor, scheduler and
-/// resume history — the keystone of the bit-identical-resume guarantee.
+/// report. Pure plan-order arithmetic: independent of executor, completion
+/// order and resume history — the keystone of the bit-identical-resume
+/// guarantee.
 fn aggregate_report(
     plan: &Plan,
     records: Vec<UnitRecord>,
@@ -663,7 +651,6 @@ mod tests {
     use super::*;
     use crate::events::FnObserver;
     use crate::executor::SerialExecutor;
-    use crate::schedule::CostOrdered;
     use rough_core::RoughnessSpec;
     use rough_em::material::Stackup;
     use rough_em::units::{GigaHertz, Micrometers};
@@ -710,35 +697,6 @@ mod tests {
             events.last(),
             Some(RunEvent::RunFinished { units: 6, .. })
         ));
-    }
-
-    #[test]
-    fn cost_ordered_schedule_is_bit_identical_to_plan_order() {
-        let scenario = scenario(4);
-        let plan_order = Run::new(&scenario, RunConfig::new().executor(SerialExecutor))
-            .unwrap()
-            .execute()
-            .unwrap();
-        let cost_ordered = Run::new(
-            &scenario,
-            RunConfig::new()
-                .executor(SerialExecutor)
-                .scheduler(CostOrdered::new()),
-        )
-        .unwrap()
-        .execute()
-        .unwrap();
-        let a: Vec<u64> = plan_order
-            .records
-            .iter()
-            .map(|r| r.value.to_bits())
-            .collect();
-        let b: Vec<u64> = cost_ordered
-            .records
-            .iter()
-            .map(|r| r.value.to_bits())
-            .collect();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -335,7 +335,7 @@ impl ScenarioBuilder {
             mf.validate().map_err(EngineError::InvalidScenario)?;
             if self.solver == SolverKind::DirectLu {
                 return Err(EngineError::InvalidScenario(
-                    "the matrix-free operator requires a Krylov solver (bicgstab or gmres), \
+                    "the matrix-free operator requires the Krylov solver (gmres), \
                      not DirectLu"
                         .into(),
                 ));

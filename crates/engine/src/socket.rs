@@ -18,7 +18,8 @@
 //!    frame is lost: its in-flight units are re-queued to survivors and a
 //!    typed [`RunEvent::WorkerLost`] is streamed. Plan-time seeding makes the
 //!    final report bit-identical no matter which worker computed which unit.
-//!    Lost workers are respawned at the next run, at most 4 times beyond the
+//!    Lost workers, and parked ones whose process exited between runs, are
+//!    respawned at the next run's checkout, at most 4 times beyond the
 //!    initial fleet; past that the circuit breaker opens and the executor
 //!    degrades to the survivors ([`RunEvent::FleetDegraded`]). A worker whose
 //!    connection drops redials up to 8 times, 25 ms doubling to 1.6 s apart,
@@ -143,6 +144,8 @@ fn accept(listener: &TcpListener) -> io::Result<TcpStream> {
 struct WorkerConn {
     /// Stable worker index (assigned at accept, reported in events).
     index: usize,
+    /// Process id the worker announced in its HELLO.
+    pid: u32,
     conn: TcpStream,
 }
 
@@ -262,14 +265,20 @@ impl SocketExecutor {
             .map_err(|e| socket_error(format!("cannot read listener address: {e}")))?
             .to_string();
 
-        // Reap exited children so the fleet top-up below is sized right.
-        state
-            .children
-            .retain_mut(|c| matches!(c.try_wait(), Ok(None)));
-
-        // Idle connections whose process died while parked stay in the
-        // pool: a parked worker cannot be mid-frame, so the dead peer
-        // surfaces as a lost worker on first use and is replaced next run.
+        // Reap exited children so the fleet top-up below is sized right, and
+        // drop the idle connections of workers that died while parked: the
+        // top-up then replaces them before this run instead of the run
+        // finding them dead. (A peek cannot tell: a parked connection still
+        // holds its last batch's unread STATS frame ahead of the EOF.)
+        let mut exited = Vec::new();
+        state.children.retain_mut(|c| match c.try_wait() {
+            Ok(None) => true,
+            _ => {
+                exited.push(c.id());
+                false
+            }
+        });
+        state.idle.retain(|worker| !exited.contains(&worker.pid));
         let missing = self.workers.saturating_sub(state.idle.len());
         let mut to_spawn = missing.saturating_sub(state.children.len().saturating_sub(
             // children currently backing idle connections
@@ -312,9 +321,16 @@ impl SocketExecutor {
                             hello.kind
                         )));
                     }
+                    let mut payload = hello.reader();
+                    let pid = payload
+                        .u64()
+                        .and_then(|_version| payload.u64())
+                        .ok()
+                        .and_then(|pid| u32::try_from(pid).ok())
+                        .ok_or_else(|| socket_error("worker sent a malformed HELLO"))?;
                     let index = state.next_index;
                     state.next_index += 1;
-                    state.idle.push(WorkerConn { index, conn });
+                    state.idle.push(WorkerConn { index, pid, conn });
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     if Instant::now() >= deadline {
@@ -353,7 +369,7 @@ impl Drop for SocketExecutor {
     }
 }
 
-/// Splits the scheduled order into case-contiguous dispatch batches.
+/// Splits the run's unit order into case-contiguous dispatch batches.
 ///
 /// Batches never straddle a case boundary, so a worker's shard confines each
 /// context build to as few workers as possible — and they are small enough
@@ -1002,7 +1018,11 @@ mod tests {
         for index in 0..2 {
             let mut conn = accept_blocking(&listener);
             assert_eq!(read_frame(&mut conn).unwrap().kind, kind::HELLO);
-            idle.push(WorkerConn { index, conn });
+            idle.push(WorkerConn {
+                index,
+                pid: 0,
+                conn,
+            });
         }
         let executor = Arc::new(SocketExecutor {
             workers: 2,

@@ -107,9 +107,6 @@ pub fn encode_scenario(scenario: &Scenario) -> String {
         SolverKind::DirectLu => {
             let _ = writeln!(out, "solver lu");
         }
-        SolverKind::Bicgstab { tolerance } => {
-            let _ = writeln!(out, "solver bicgstab {}", bits(tolerance));
-        }
         SolverKind::Gmres { tolerance, restart } => {
             let _ = writeln!(out, "solver gmres {} {restart}", bits(tolerance));
         }
@@ -247,9 +244,6 @@ pub fn decode_scenario(text: &str) -> Result<Scenario, EngineError> {
             "solver" => {
                 solver = Some(match arg(0)? {
                     "lu" => SolverKind::DirectLu,
-                    "bicgstab" => SolverKind::Bicgstab {
-                        tolerance: parse_bits(arg(1)?)?,
-                    },
                     "gmres" => SolverKind::Gmres {
                         tolerance: parse_bits(arg(1)?)?,
                         restart: parse_usize(arg(2)?)?,
@@ -451,7 +445,10 @@ mod tests {
                 ))
                 .frequencies([GigaHertz::new(5.0).into()])
                 .cells_per_side(8)
-                .solver(SolverKind::Bicgstab { tolerance: 1e-11 })
+                .solver(SolverKind::Gmres {
+                    tolerance: 1e-11,
+                    restart: 40,
+                })
                 .operator_repr(repr)
                 .monte_carlo(2)
                 .build()
@@ -505,8 +502,8 @@ mod tests {
         let truncated = format!("{MAGIC}\nname x\nend\n");
         assert!(decode_scenario(&truncated).is_err()); // missing fields
 
-        // An unknown assembly token (here the removed seed scheme's) is an
-        // error, not a panic.
+        // Unknown assembly and solver tokens (here the removed seed scheme's
+        // and the removed BiCGSTAB's) are errors, not panics.
         let valid = encode_scenario(
             &Scenario::builder(Stackup::paper_baseline())
                 .roughness(RoughnessSpec::gaussian(
@@ -526,6 +523,15 @@ mod tests {
         match decode_scenario(&legacy) {
             Err(error) => assert!(error.to_string().contains("unknown assembly `legacy`")),
             Ok(_) => panic!("the `assembly legacy` token must be rejected"),
+        }
+        let solver_line = valid
+            .lines()
+            .find(|line| line.starts_with("solver "))
+            .expect("the solver is always on the wire");
+        let bicgstab = valid.replace(solver_line, &format!("solver bicgstab {}", bits(1e-10)));
+        match decode_scenario(&bicgstab) {
+            Err(error) => assert!(error.to_string().contains("unknown solver `bicgstab`")),
+            Ok(_) => panic!("the `solver bicgstab` token must be rejected"),
         }
     }
 }

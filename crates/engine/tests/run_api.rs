@@ -10,8 +10,8 @@ use rough_core::RoughnessSpec;
 use rough_em::material::Stackup;
 use rough_em::units::{GigaHertz, Micrometers};
 use rough_engine::{
-    CampaignReport, CancelToken, CostOrdered, EngineError, FnObserver, Run, RunConfig, RunEvent,
-    Scenario, SerialExecutor, SocketExecutor, ThreadPoolExecutor, UnitExecutor,
+    CampaignReport, CancelToken, EngineError, FnObserver, Run, RunConfig, RunEvent, Scenario,
+    SerialExecutor, SocketExecutor, ThreadPoolExecutor, UnitExecutor,
 };
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -165,17 +165,16 @@ fn interrupted_runs_resume_bit_identically_across_executors() {
 }
 
 #[test]
-fn resume_after_cost_ordered_interruption_matches_plan_order_runs() {
-    // Interrupt a cost-ordered multi-process (socket) run, resume serially
-    // in plan order: schedule and executor may change across the
-    // interruption without affecting a single output bit.
-    let path = temp_checkpoint("resume-cross-schedule.jsonl");
+fn resume_after_socket_interruption_matches_serial_runs() {
+    // Interrupt a multi-process (socket) run, resume serially: the executor
+    // may change across the interruption without affecting a single output
+    // bit.
+    let path = temp_checkpoint("resume-cross-executor.jsonl");
     let token = CancelToken::default();
     let observer_token = token.clone();
     let completed = AtomicUsize::new(0);
     let config = RunConfig::new()
         .executor(socket_executor(2))
-        .scheduler(CostOrdered::new())
         .checkpoint(&path)
         .cancel_token(token)
         .observer(FnObserver(move |event: &RunEvent| {
@@ -200,7 +199,7 @@ fn resume_after_cost_ordered_interruption_matches_plan_order_runs() {
         .expect("resume")
         .execute()
         .expect("resumed campaign");
-    assert_reports_bit_identical(&run_with(SerialExecutor), &resumed, "cross-schedule resume");
+    assert_reports_bit_identical(&run_with(SerialExecutor), &resumed, "cross-executor resume");
     std::fs::remove_file(&path).ok();
 }
 
@@ -319,6 +318,29 @@ fn socket_run_survives_a_worker_killed_mid_run_bit_identically() {
 }
 
 #[test]
+fn a_fleet_killed_between_runs_is_respawned_and_the_next_run_is_bit_identical() {
+    let reference = run_with(SerialExecutor);
+    let executor: Arc<SocketExecutor> = Arc::new(socket_executor(2));
+    let run = || {
+        Run::new(
+            &scenario(),
+            RunConfig::new().executor_arc(executor.clone() as Arc<dyn UnitExecutor>),
+        )
+        .expect("plan")
+        .execute()
+    };
+    let first = run().expect("first socket campaign");
+    assert_reports_bit_identical(&reference, &first, "serial vs socket (before the kills)");
+
+    // Both parked workers die: their idle connections must not count as
+    // reachable, so the next checkout respawns the whole fleet.
+    assert!(executor.kill_one_worker(), "first worker child is live");
+    assert!(executor.kill_one_worker(), "second worker child is live");
+    let second = run().expect("the fleet is respawned after dying between runs");
+    assert_reports_bit_identical(&reference, &second, "serial vs socket (after the kills)");
+}
+
+#[test]
 fn a_flapping_worker_trips_the_respawn_breaker_and_the_fleet_degrades_bit_identically() {
     // Small and cheap: every lost worker costs a run, and the breaker only
     // opens after the fixed respawn cap (4) is spent.
@@ -342,9 +364,9 @@ fn a_flapping_worker_trips_the_respawn_breaker_and_the_fleet_degrades_bit_identi
 
     let executor: Arc<SocketExecutor> = Arc::new(socket_executor(2));
     let degraded = Arc::new(Mutex::new(Vec::new()));
-    // A worker killed between runs is found dead (WorkerLost) in the next
-    // run and respawned in the one after; kill again only once the fleet is
-    // whole so the survivor always carries the run.
+    // A worker killed between runs is dropped from the idle pool and
+    // respawned at the next checkout; a run that still reports WorkerLost
+    // skips the next kill, so a survivor always carries the run.
     for run in 1..=16 {
         let lost = Arc::new(AtomicBool::new(false));
         let (lost_flag, events) = (Arc::clone(&lost), Arc::clone(&degraded));

@@ -1,12 +1,11 @@
-//! Krylov-subspace iterative solvers for complex linear systems.
+//! The Krylov-subspace iterative solver for complex linear systems.
 //!
 //! The paper notes that eq. (9) "can be efficiently solved in O(N log N)
 //! complexity ... with numerical solvers such as the FFT-based iterative
-//! method". The solvers here (BiCGSTAB and restarted GMRES) are the iterative
-//! half of that statement: they only require a matrix–vector product, so they
-//! work both with an explicitly assembled [`crate::linalg::CMatrix`] and with a
-//! matrix-free operator (e.g. an FFT-accelerated convolution on the canonical
-//! grid).
+//! method". Restarted GMRES is the iterative half of that statement: it only
+//! requires a matrix–vector product, so it works both with an explicitly
+//! assembled [`crate::linalg::CMatrix`] and with a matrix-free operator (e.g.
+//! an FFT-accelerated convolution on the canonical grid).
 
 use crate::complex::c64;
 use crate::linalg::{vec_axpy, vec_dot, vec_norm, CMatrix};
@@ -54,15 +53,15 @@ impl<F: Fn(&[c64]) -> Vec<c64>> LinearOperator for FnOperator<F> {
     }
 }
 
-/// Convergence / iteration controls shared by the Krylov solvers.
+/// Convergence / iteration controls of the GMRES solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterativeConfig {
     /// Relative residual tolerance `‖b − A·x‖ / ‖b‖`.
     pub tolerance: f64,
-    /// Maximum number of iterations (matrix–vector products for BiCGSTAB is
-    /// roughly twice this number).
+    /// Maximum number of Arnoldi iterations (one matrix–vector product
+    /// each, on top of one residual product per restart cycle).
     pub max_iterations: usize,
-    /// GMRES restart length (ignored by BiCGSTAB).
+    /// GMRES restart length.
     pub restart: usize,
 }
 
@@ -139,112 +138,13 @@ impl fmt::Display for IterativeError {
 
 impl std::error::Error for IterativeError {}
 
-/// Solves `A·x = b` with the BiCGSTAB method of van der Vorst.
+/// Solves `A·x = b` with restarted GMRES(m).
 ///
 /// # Errors
 ///
 /// Returns [`IterativeError::NotConverged`] (carrying the best iterate) when
 /// the iteration limit is hit, [`IterativeError::Breakdown`] on a numerical
 /// breakdown, and [`IterativeError::DimensionMismatch`] for inconsistent sizes.
-pub fn bicgstab(
-    op: &dyn LinearOperator,
-    b: &[c64],
-    config: &IterativeConfig,
-) -> Result<IterativeSolution, IterativeError> {
-    let n = op.dim();
-    if b.len() != n {
-        return Err(IterativeError::DimensionMismatch);
-    }
-    let bnorm = vec_norm(b);
-    if bnorm == 0.0 {
-        return Ok(IterativeSolution {
-            x: vec![c64::zero(); n],
-            residual: 0.0,
-            iterations: 0,
-            converged: true,
-        });
-    }
-
-    let mut x = vec![c64::zero(); n];
-    let mut r = b.to_vec();
-    let r_hat = r.clone();
-    let mut rho = c64::one();
-    let mut alpha = c64::one();
-    let mut omega = c64::one();
-    let mut v = vec![c64::zero(); n];
-    let mut p = vec![c64::zero(); n];
-
-    for iter in 0..config.max_iterations {
-        let rho_new = vec_dot(&r_hat, &r);
-        if rho_new.abs() < 1e-300 {
-            return Err(IterativeError::Breakdown { iteration: iter });
-        }
-        let beta = (rho_new / rho) * (alpha / omega);
-        rho = rho_new;
-        // p = r + beta (p - omega v)
-        for i in 0..n {
-            p[i] = r[i] + beta * (p[i] - omega * v[i]);
-        }
-        v = op.apply(&p);
-        let denom = vec_dot(&r_hat, &v);
-        if denom.abs() < 1e-300 {
-            return Err(IterativeError::Breakdown { iteration: iter });
-        }
-        alpha = rho / denom;
-        // s = r - alpha v
-        let mut s = r.clone();
-        vec_axpy(-alpha, &v, &mut s);
-        if vec_norm(&s) / bnorm < config.tolerance {
-            vec_axpy(alpha, &p, &mut x);
-            return Ok(IterativeSolution {
-                residual: vec_norm(&s) / bnorm,
-                x,
-                iterations: iter + 1,
-                converged: true,
-            });
-        }
-        let t = op.apply(&s);
-        let tt = vec_dot(&t, &t);
-        if tt.abs() < 1e-300 {
-            return Err(IterativeError::Breakdown { iteration: iter });
-        }
-        omega = vec_dot(&t, &s) / tt;
-        // x += alpha p + omega s
-        vec_axpy(alpha, &p, &mut x);
-        vec_axpy(omega, &s, &mut x);
-        // r = s - omega t
-        r = s;
-        vec_axpy(-omega, &t, &mut r);
-        let rel = vec_norm(&r) / bnorm;
-        if rel < config.tolerance {
-            return Ok(IterativeSolution {
-                x,
-                residual: rel,
-                iterations: iter + 1,
-                converged: true,
-            });
-        }
-        if omega.abs() < 1e-300 {
-            return Err(IterativeError::Breakdown { iteration: iter });
-        }
-    }
-
-    let rel = vec_norm(&r) / bnorm;
-    Err(IterativeError::NotConverged {
-        best: IterativeSolution {
-            x,
-            residual: rel,
-            iterations: config.max_iterations,
-            converged: false,
-        },
-    })
-}
-
-/// Solves `A·x = b` with restarted GMRES(m).
-///
-/// # Errors
-///
-/// Same error contract as [`bicgstab`].
 pub fn gmres(
     op: &dyn LinearOperator,
     b: &[c64],
@@ -414,23 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn bicgstab_matches_direct_solve() {
-        let n = 40;
-        let a = test_matrix(n);
-        let b = rhs(n);
-        let x_direct = a.solve(&b).unwrap();
-        let sol = bicgstab(&a, &b, &IterativeConfig::default()).unwrap();
-        assert!(sol.converged);
-        let err: f64 = sol
-            .x
-            .iter()
-            .zip(&x_direct)
-            .map(|(u, v)| (*u - *v).abs())
-            .fold(0.0, f64::max);
-        assert!(err < 1e-7, "err = {err}");
-    }
-
-    #[test]
     fn gmres_matches_direct_solve() {
         let n = 40;
         let a = test_matrix(n);
@@ -471,10 +354,8 @@ mod tests {
     fn zero_rhs_returns_zero() {
         let a = test_matrix(10);
         let b = vec![c64::zero(); 10];
-        let sol = bicgstab(&a, &b, &IterativeConfig::default()).unwrap();
-        assert!(sol.converged);
-        assert!(sol.x.iter().all(|z| z.abs() == 0.0));
         let sol = gmres(&a, &b, &IterativeConfig::default()).unwrap();
+        assert!(sol.converged);
         assert!(sol.x.iter().all(|z| z.abs() == 0.0));
     }
 
@@ -482,10 +363,6 @@ mod tests {
     fn dimension_mismatch_is_reported() {
         let a = test_matrix(5);
         let b = rhs(4);
-        assert!(matches!(
-            bicgstab(&a, &b, &IterativeConfig::default()),
-            Err(IterativeError::DimensionMismatch)
-        ));
         assert!(matches!(
             gmres(&a, &b, &IterativeConfig::default()),
             Err(IterativeError::DimensionMismatch)
@@ -502,7 +379,7 @@ mod tests {
             max_iterations: 2,
             restart: 2,
         };
-        match bicgstab(&a, &b, &cfg) {
+        match gmres(&a, &b, &cfg) {
             Err(IterativeError::NotConverged { best }) => {
                 assert!(!best.converged);
                 assert!(best.residual > 0.0);

@@ -11,8 +11,8 @@
 //!   set of elementary functions.
 //! * [`linalg`] — dense real/complex matrices, LU factorization with partial
 //!   pivoting, triangular solves, determinants and condition estimates.
-//! * [`iterative`] — BiCGSTAB and restarted GMRES Krylov solvers for the large
-//!   MOM systems.
+//! * [`iterative`] — the restarted GMRES Krylov solver for the large MOM
+//!   systems.
 //! * [`eigen`] — Jacobi eigenvalue decomposition of real symmetric matrices and
 //!   an implicit-QL solver for symmetric tridiagonal matrices (used by the
 //!   Karhunen–Loève expansion and Golub–Welsch quadrature construction).

@@ -22,20 +22,14 @@
 //! submissions and [`crate::protocol::kind::FETCH`] requests are served
 //! without recomputing.
 //!
-//! Scheduling: every finished report's measured per-unit wall times are
-//! absorbed into a [`CostTable`] persisted as `cost_table.json` under the
-//! state directory, and each job is scheduled with
-//! [`CostOrdered::calibrated`] — once every unit class of a plan has been
-//! measured, later campaigns run their slowest classes first (better tail
-//! latency under the executor's parallelism); until then the scheduler falls
-//! back to the static `cells⁴·frequency` model.
+//! Each campaign hands its executor the plan's units in plan order; reports
+//! are bit-identical under any completion order, so ordering only moves wall
+//! time.
 
 use crate::protocol::{self, kind, JobSummary, ServiceEvent};
 use crate::queue::{JobQueue, JobState};
 use rough_engine::frame::{self, read_frame, write_frame, Frame, PayloadWriter};
-use rough_engine::{
-    checkpoint, wire, CostOrdered, CostTable, EngineError, FnObserver, Run, RunConfig, UnitExecutor,
-};
+use rough_engine::{checkpoint, wire, EngineError, FnObserver, Run, RunConfig, UnitExecutor};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -129,12 +123,6 @@ struct Shared {
     work: Condvar,
     watchers: Mutex<Vec<Arc<Watcher>>>,
     stop: AtomicBool,
-    /// Persisted per-class cost measurements feeding the calibrated
-    /// scheduler of subsequent jobs.
-    cost_table_path: PathBuf,
-    /// Serializes the load → absorb → save cycle on the cost table:
-    /// concurrent runners would otherwise lose each other's samples.
-    cost_lock: Mutex<()>,
 }
 
 impl Shared {
@@ -225,8 +213,6 @@ impl Daemon {
             work: Condvar::new(),
             watchers: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
-            cost_table_path: config.state_dir.join("cost_table.json"),
-            cost_lock: Mutex::new(()),
         });
 
         let accept_shared = Arc::clone(&shared);
@@ -496,18 +482,10 @@ fn execute_job(
         return Err(daemon_error("injected job failure (fault plan)"));
     }
     let scenario = wire::decode_scenario(scenario_wire)?;
-
-    // Schedule with whatever cost measurements previous jobs accumulated; an
-    // unreadable or absent table degrades to the static cost model.
-    let cost_table = {
-        let _cost = shared.cost_lock.lock().expect("cost lock poisoned");
-        CostTable::load(&shared.cost_table_path).unwrap_or_default()
-    };
     let build_config = || {
         let event_shared = Arc::clone(shared);
         RunConfig::new()
             .executor_arc(Arc::clone(executor))
-            .scheduler(CostOrdered::calibrated(cost_table))
             .checkpoint(checkpoint_path)
             .observer(FnObserver(move |event: &rough_engine::RunEvent| {
                 let frame = ServiceEvent::from_run_event(event).encode(job);
@@ -525,20 +503,7 @@ fn execute_job(
     } else {
         Run::new(&scenario, build_config())?
     };
-    let plan = run.plan().clone();
-    let report = run.execute()?;
-
-    // Feed the calibration loop: fold this job's measured unit times into the
-    // persisted cost table (re-read under the cost lock so concurrent
-    // runners don't lose each other's samples). Calibration is best-effort —
-    // a failed save never fails the job.
-    {
-        let _cost = shared.cost_lock.lock().expect("cost lock poisoned");
-        let mut table = CostTable::load(&shared.cost_table_path).unwrap_or_default();
-        if table.absorb(&plan, &report) > 0 {
-            table.save(&shared.cost_table_path).ok();
-        }
-    }
+    run.execute()?;
 
     // Settle the artifact: scrub checkpoint churn, then publish it as the
     // content-addressed cached report.

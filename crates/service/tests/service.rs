@@ -248,144 +248,6 @@ fn published_reports_are_compacted_checkpoints() {
     std::fs::remove_dir_all(&state).ok();
 }
 
-/// A scheduler-observable executor: records the class sequence each job was
-/// scheduled in and fabricates records with a class-dependent artificial
-/// solve time (low-frequency units are the *slow* ones — the opposite of the
-/// static `cells⁴·frequency` model, so measured reordering is unmistakable).
-#[derive(Debug)]
-struct TimedFakeExecutor {
-    orders: Arc<std::sync::Mutex<Vec<Vec<String>>>>,
-}
-
-impl rough_engine::UnitExecutor for TimedFakeExecutor {
-    fn name(&self) -> &'static str {
-        "timed-fake"
-    }
-
-    fn parallelism(&self) -> usize {
-        1
-    }
-
-    fn execute(
-        &self,
-        plan: &rough_engine::Plan,
-        order: &[usize],
-        _cache: &rough_engine::KernelCache,
-        sink: &rough_engine::UnitSink<'_>,
-    ) -> Result<(), EngineError> {
-        let mut classes = Vec::new();
-        for &unit_id in order {
-            let unit = &plan.units()[unit_id];
-            let class = rough_engine::unit_class(plan, unit);
-            sink.unit_started(unit);
-            let millis = if class.ends_with("@1GHz") { 60 } else { 5 };
-            std::thread::sleep(std::time::Duration::from_millis(millis));
-            sink.complete(rough_engine::UnitRecord {
-                unit: unit_id,
-                case_index: unit.case_index,
-                value: 1.0,
-                relative_residual: 1e-12,
-                degraded: false,
-            })?;
-            classes.push(class);
-        }
-        self.orders.lock().unwrap().push(classes);
-        Ok(())
-    }
-}
-
-/// The daemon's calibration loop: job 1 is scheduled by the static model
-/// (high frequency first), its measured unit times land in the state dir's
-/// `cost_table.json`, and job 2 is reordered by measured cost (the slow
-/// low-frequency class first).
-#[test]
-fn daemon_feeds_cost_table_and_second_job_reorders_by_measured_cost() {
-    let state = temp_state("calibration");
-    let orders: Arc<std::sync::Mutex<Vec<Vec<String>>>> = Arc::default();
-    let daemon = Daemon::start(DaemonConfig::new("127.0.0.1:0", &state).executor(Arc::new(
-        TimedFakeExecutor {
-            orders: Arc::clone(&orders),
-        },
-    )))
-    .expect("daemon starts");
-    let client = Client::new(daemon.addr());
-
-    let two_frequency = |seed: u64| {
-        Scenario::builder(Stackup::paper_baseline())
-            .name("calibration")
-            .roughness(RoughnessSpec::gaussian(
-                Micrometers::new(1.0),
-                Micrometers::new(1.0),
-            ))
-            .frequencies([GigaHertz::new(1.0).into(), GigaHertz::new(9.0).into()])
-            .cells_per_side(5)
-            .max_kl_modes(3)
-            .monte_carlo(2)
-            .master_seed(seed)
-            .build()
-            .expect("valid scenario")
-    };
-
-    let (_, outcome) = client
-        .submit_watch(&two_frequency(0x61), |_| {})
-        .expect("job 1");
-    assert!(outcome.is_ok());
-
-    // Job 1 ran before any measurements existed: the static model orders by
-    // frequency, 9 GHz first.
-    {
-        let orders = orders.lock().unwrap();
-        assert_eq!(orders.len(), 1);
-        assert!(
-            orders[0].first().unwrap().ends_with("@9GHz"),
-            "uncalibrated job starts with the statically-expensive class: {:?}",
-            orders[0]
-        );
-    }
-
-    // Its measured unit times were absorbed into the persisted table.
-    let table_path = state.join("cost_table.json");
-    let table = rough_engine::CostTable::load(&table_path).expect("cost table persisted");
-    assert_eq!(table.len(), 2, "both classes measured");
-    let slow = table.lookup("c5@1GHz").expect("slow class measured");
-    let fast = table.lookup("c5@9GHz").expect("fast class measured");
-    assert!(
-        slow > fast,
-        "measured costs invert the static model: {slow} vs {fast}"
-    );
-
-    // Job 2 (different seed, so no cache hit) schedules by measured cost:
-    // the genuinely slow 1 GHz class now runs first.
-    let (submission, outcome) = client
-        .submit_watch(&two_frequency(0x62), |_| {})
-        .expect("job 2");
-    assert!(outcome.is_ok());
-    assert!(!submission.cached);
-    {
-        let orders = orders.lock().unwrap();
-        assert_eq!(orders.len(), 2);
-        assert!(
-            orders[1].first().unwrap().ends_with("@1GHz"),
-            "calibrated job starts with the measured-slow class: {:?}",
-            orders[1]
-        );
-        // All slow-class units precede all fast-class units.
-        let first_fast = orders[1]
-            .iter()
-            .position(|c| c.ends_with("@9GHz"))
-            .expect("fast class present");
-        assert!(
-            orders[1][first_fast..].iter().all(|c| c.ends_with("@9GHz")),
-            "longest-first order is total: {:?}",
-            orders[1]
-        );
-    }
-
-    client.shutdown().expect("shutdown");
-    daemon.join();
-    std::fs::remove_dir_all(&state).ok();
-}
-
 #[test]
 fn daemon_sweep_rounds_dedupe_and_export_bit_identically() {
     use rough_engine::SweepScenario;

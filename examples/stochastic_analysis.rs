@@ -1,6 +1,6 @@
 //! Stochastic analysis: Monte-Carlo versus SSCM for the loss-enhancement
 //! factor of a random surface (a miniature of paper Fig. 7 / Table I), driven
-//! through the `rough-engine` batch scheduler.
+//! through the `rough-engine` batch engine.
 //!
 //! The three ensembles are declarative scenarios executed on one thread pool
 //! and one shared kernel cache: the Ewald kernels, the KL basis and the

@@ -26,9 +26,9 @@
 //!   [`Scenario`](engine::Scenario)s (stackup × roughness grid × frequency
 //!   sweep × ensemble) planned into deduplicated work units and executed
 //!   through the session-oriented [`Run`](engine::Run) API — pluggable
-//!   executors (serial / thread pool / socket worker processes), plan-order or
-//!   cost-ordered scheduling, streamed [`RunEvent`](engine::RunEvent)s, and
-//!   JSONL unit checkpoints that resume bit-identically.
+//!   executors (serial / thread pool / socket worker processes) fed in plan
+//!   order, streamed [`RunEvent`](engine::RunEvent)s, and JSONL unit
+//!   checkpoints that resume bit-identically.
 //! * [`sweep`] — broadband frequency sweeps on top of the engine: adaptive
 //!   refinement of a [`SweepScenario`](engine::SweepScenario) band with
 //!   warm-state reuse, a vector-fitting-style rational curve model with an
@@ -82,10 +82,7 @@ pub use rough_sweep as sweep;
 /// [`ThreadPoolExecutor`](rough_engine::ThreadPoolExecutor), or
 /// [`SocketExecutor`](rough_engine::SocketExecutor) — persistent distributed
 /// workers with warm per-worker kernel caches and bit-identical re-dispatch
-/// when a worker dies), a kernel cache to share across runs, the schedule
-/// ([`PlanOrder`](rough_engine::PlanOrder) or longest-first
-/// [`CostOrdered`](rough_engine::CostOrdered), optionally calibrated with a
-/// measured [`CostTable`](rough_engine::CostTable)), an optional JSONL
+/// when a worker dies), a kernel cache to share across runs, an optional JSONL
 /// checkpoint path, and an observer that receives typed
 /// [`RunEvent`](rough_engine::RunEvent)s (`UnitStarted`, `UnitCompleted` with
 /// worker-measured wall time, `CaseCompleted`, `WorkerLost`,
@@ -142,8 +139,8 @@ pub mod prelude {
     };
     pub use rough_engine::SweepScenario;
     pub use rough_engine::{
-        CancelToken, CostOrdered, CostTable, PlanOrder, Run, RunConfig, RunEvent, Scenario,
-        SerialExecutor, SocketExecutor, ThreadPoolExecutor,
+        CancelToken, Run, RunConfig, RunEvent, Scenario, SerialExecutor, SocketExecutor,
+        ThreadPoolExecutor,
     };
     pub use rough_numerics::complex::c64;
     pub use rough_service::{Client, Daemon, DaemonConfig, Priority};
